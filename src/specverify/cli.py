@@ -4,7 +4,8 @@ Subcommands:
     oracle   enumerate verifier yield distributions over seeded model pairs
              and check them against the target joint (exit 2 on any failure)
     bench    sweep a (vocab, gamma, eps) grid and report expected accepted
-             tokens per method, enforcing the per-trace ordering
+             tokens per method, enforcing hsd >= block per trace and
+             counting traces where block falls below token
     mc       Monte Carlo goodness of fit, including multi-draft verifiers
     example  replay the embedded reference worked example
 
@@ -252,6 +253,7 @@ def _bench_config_job(payload: dict) -> dict:
     taus = {"tokenwise": [], "blockwise": [], "hsd": []}
     wholes = {"tokenwise": [], "blockwise": [], "hsd": []}
     violations = 0
+    block_below_token = 0  # allowed per trace: the ordering holds over drafts
     strict_branch_block = 0
     strict_block_token = 0
     for draft_index in range(n):
@@ -267,8 +269,10 @@ def _bench_config_job(payload: dict) -> dict:
         wholes["tokenwise"].append(whole["token"])
         wholes["blockwise"].append(whole["block"])
         wholes["hsd"].append(whole["ours"])
-        if e_hsd < e_blk - ORDER_SLACK or e_blk < e_tok - ORDER_SLACK:
+        if e_hsd < e_blk - ORDER_SLACK:
             violations += 1
+        if e_blk < e_tok - ORDER_SLACK:
+            block_below_token += 1
         if not (
             whole["ideal"] >= whole["ours"] - WHOLE_DRAFT_SLACK
             and whole["ours"] >= whole["block"] - WHOLE_DRAFT_SLACK
@@ -297,6 +301,7 @@ def _bench_config_job(payload: dict) -> dict:
         "index": payload["index"],
         "rows": rows,
         "violations": violations,
+        "block_below_token": block_below_token,
         "strict_branch_block": strict_branch_block / n,
         "strict_block_token": strict_block_token / n,
     }
@@ -340,12 +345,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "gamma": grid[res["index"]][1],
                 "eps": grid[res["index"]][2],
                 "violations": res["violations"],
+                "block_below_token": res["block_below_token"],
                 "strict_branch_block": res["strict_branch_block"],
                 "strict_block_token": res["strict_block_token"],
             }
             for res in results
         ],
         "ordering_violations": total_violations,
+        "block_below_token": sum(res["block_below_token"] for res in results),
         "order_slack": ORDER_SLACK,
     }
     out = _resolve_out(args.out, "bench_results.csv" if args.format == "csv" else "bench_results.json")
@@ -370,6 +377,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         v, g, e = grid[res["index"]]
         print(
             f"bench V={v:3d} gamma={g:3d} eps={e:4.2f}  violations={res['violations']}"
+            f"  block<token={res['block_below_token']}"
             f"  strict(hsd>block)={res['strict_branch_block']:.3f}"
             f"  strict(block>token)={res['strict_block_token']:.3f}"
         )

@@ -16,7 +16,6 @@ import numpy as np
 from .divergence import ratio_chain
 from .models import DraftTrace, ModelPairSpec, TableArModel, sample_draft
 from .verify import (
-    AcceptanceChain,
     backward_scan,
     blockwise_acceptance_chain,
     capped_hsd_chain,
@@ -46,12 +45,6 @@ class BenchResult:
     def mean_block_efficiency(self) -> float:
         """Accepted tokens plus the one token every verification step emits."""
         return self.mean_expected_tau + 1.0
-
-
-def method_chain(method: str, trace: DraftTrace) -> AcceptanceChain:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
-    return METHODS[method][0](trace)
 
 
 def method_expected_tau(method: str, trace: DraftTrace) -> float:

@@ -1,13 +1,14 @@
 """Ground-truth certification of verifier losslessness.
 
 :func:`enumerate_yield` computes, exactly, the probability of every
-full-length output sequence under a verifier by folding over all possible
-drafts: scan decisions are treated analytically (they are independent
-uniforms), while resampling and target continuations fan out term by term.
-Comparing that yield against the target joint certifies or refutes
-losslessness to floating-point precision.  :func:`monte_carlo_fit` is the
-statistical fallback for configurations where enumeration is infeasible,
-such as multi-draft verification.
+full-length output sequence under a verifier.  Each draft deposits mass at
+what the verifier can emit, with scan decisions treated analytically (they
+are independent uniforms); the mass is then pushed one level at a time out
+to the output length, so every prefix is expanded once.  Comparing that
+yield against the target joint certifies or refutes losslessness to
+floating-point precision.  :func:`monte_carlo_fit` is the statistical
+fallback for configurations where enumeration is infeasible, such as
+multi-draft verification.
 
 Both entry points accept an optional ``mutate`` knob that corrupts the
 acceptance chain on purpose; a healthy test suite must catch every mutation.
@@ -23,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .divergence import capped_branch_masses, joint_products, ratio_chain
+from .divergence import joint_products, ratio_chain
 from .models import (
     DraftTrace,
     Sequence,
@@ -49,6 +50,7 @@ from .verify import (
     tokenwise_residual,
     tokenwise_verify,
     Event,
+    _capped_ratios,
     _draw,
     _emit_bonus,
 )
@@ -70,12 +72,27 @@ class YieldDistribution:
         return math.fsum(self.probs.values())
 
 
+def _push(levels: list[dict[Sequence, float]], start: int, stop: int, step) -> None:
+    """Move the mass at levels ``start .. stop - 1`` on by the ``(token, prob)`` pairs of ``step(prefix)``."""
+    for n in range(start, stop):
+        nxt = levels[n + 1]
+        for prefix, mass in levels[n].items():
+            for tok, pr in step(prefix):
+                nxt[prefix + (tok,)] += mass * pr
+
+
 def target_joint_distribution(p_model: TableArModel, length: int) -> YieldDistribution:
-    """The target joint over all sequences of a fixed length."""
+    """The target joint over all sequences of a fixed length.
+
+    Pushes unit mass from the empty prefix through the target conditionals;
+    each probability is the product :meth:`TableArModel.joint` takes, in the
+    same order, so the two agree bit for bit.
+    """
     if p_model.vocab_size**length > ENUMERATION_GUARD:
         raise ValueError(f"{p_model.vocab_size}^{length} sequences exceed the enumeration guard")
-    probs = {seq: p_model.joint(seq) for seq in product(range(p_model.vocab_size), repeat=length)}
-    return YieldDistribution(probs, length)
+    levels = [{(): 1.0}] + [defaultdict(float) for _ in range(length)]
+    _push(levels, 0, length, lambda prefix: enumerate(p_model.conditional(prefix)))
+    return YieldDistribution(dict(levels[length]), length)
 
 
 def total_variation(a: YieldDistribution, b: YieldDistribution) -> float:
@@ -116,21 +133,6 @@ def _apply_mutation(h: tuple[float, ...], mutate: str | None) -> tuple[float, ..
     raise ValueError(f"unknown mutation {mutate!r}; expected one of {MUTATIONS}")
 
 
-def _unclamped_capped_h(trace: DraftTrace, chain, cums) -> tuple[float, ...]:
-    """The capped acceptance ratios without the clamp to [0, 1]."""
-    gamma = trace.gamma
-    h = []
-    for t in range(1, gamma + 1):
-        if t == gamma:
-            h.append(chain.rstar[gamma - 1])
-            break
-        a, b = capped_branch_masses(trace, chain, t, cums)
-        dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
-        dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
-        h.append(1.0 if dstar_qp <= 0.0 else dstar_pq / dstar_qp)
-    return tuple(h)
-
-
 def enumerate_yield(
     verifier: str,
     p_model: TableArModel,
@@ -141,9 +143,12 @@ def enumerate_yield(
 ) -> YieldDistribution:
     """Exact yield distribution of a single-draft verifier.
 
-    Folds over every draft of length ``gamma`` (weighted by its draft joint),
-    the analytic accepted-length law of the verifier's scan, every resampling
-    outcome, and target continuations out to ``length``.
+    Every draft of length ``gamma``, weighted by its draft joint and the
+    analytic accepted-length law of the verifier's scan, deposits mass at
+    what the verifier emits: the accepted prefix plus each resampled token,
+    or the whole draft.  naive-hsd deposits its accepted prefixes instead,
+    pushed through the naive branch residual out to ``gamma``.  All mass is
+    then pushed through the target conditionals out to ``length``.
     """
     if verifier not in SINGLE_DRAFT_VERIFIERS:
         raise ValueError(f"unknown verifier {verifier!r}; expected one of {SINGLE_DRAFT_VERIFIERS}")
@@ -160,41 +165,23 @@ def enumerate_yield(
     if min(p_model.max_depth, q_model.max_depth) < L:
         raise ValueError(f"models of depth < {L} cannot be enumerated to that length")
 
-    acc: dict[Sequence, float] = defaultdict(float)
-
-    def extend_with_target(seq: Sequence, weight: float) -> None:
-        if len(seq) == L:
-            acc[seq] += weight
-            return
-        for tok, pc in enumerate(p_model.conditional(seq)):
-            if pc > 0.0:
-                extend_with_target(seq + (tok,), weight * pc)
-
-    def fan_naive_resamples(context: Sequence, weight: float) -> None:
-        if len(context) == gamma:
-            extend_with_target(context, weight)
-            return
-        residual = naive_branch_residual(p_model, q_model, context)
-        for tok, pr in enumerate(residual):
-            if pr > 0.0:
-                fan_naive_resamples(context + (tok,), weight * pr)
-
+    # levels[n]: mass at emitted prefixes of length n; for naive-hsd, levels
+    # below gamma hold the contexts still to be resampled
+    levels: list[dict[Sequence, float]] = [defaultdict(float) for _ in range(L + 1)]
     for draft in product(range(vocab), repeat=gamma):
-        q_joint = q_model.joint(draft)
+        trace = trace_for(q_model, p_model, (), draft)
+        cums = joint_products(trace)
+        q_joint = cums[1][gamma]
         if q_joint == 0.0:
             continue
-        trace = trace_for(q_model, p_model, (), draft)
-        chain = ratio_chain(trace)
-        cums = joint_products(trace)
         if verifier == "tokenwise":
-            h = tokenwise_chain(trace).h
-            tau_probs = _tau_probs_forward(_apply_mutation(h, mutate))
+            tau_probs = _tau_probs_forward(_apply_mutation(tokenwise_chain(trace).h, mutate))
         elif verifier == "naive-hsd":
-            h = naive_hsd_chain(trace).h
-            tau_probs = _tau_probs_backward(_apply_mutation(h, mutate))
+            tau_probs = _tau_probs_backward(_apply_mutation(naive_hsd_chain(trace).h, mutate))
         else:
+            chain = ratio_chain(trace)
             if mutate == "unclamp":
-                h = _unclamped_capped_h(trace, chain, cums)
+                h = _capped_ratios(trace, chain, cums)
             else:
                 h = _apply_mutation(capped_hsd_chain(trace).h, mutate)
             tau_probs = _tau_probs_backward(h)
@@ -202,21 +189,27 @@ def enumerate_yield(
             weight = q_joint * pr_tau
             if weight == 0.0:
                 continue
-            if tau == gamma:
-                extend_with_target(draft, weight)
-            elif verifier == "tokenwise":
+            if tau == gamma or verifier == "naive-hsd":
+                levels[tau][draft[:tau]] += weight
+                continue
+            if verifier == "tokenwise":
                 residual = tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
-                for tok, pr in enumerate(residual):
-                    if pr > 0.0:
-                        extend_with_target(draft[:tau] + (tok,), weight * pr)
-            elif verifier == "naive-hsd":
-                fan_naive_resamples(draft[:tau], weight)
             else:
                 residual = capped_branch_residual(trace, chain, tau, cums)
-                for tok, pr in enumerate(residual):
-                    if pr > 0.0:
-                        extend_with_target(draft[:tau] + (tok,), weight * pr)
-    return YieldDistribution(dict(acc), L)
+            nxt = levels[tau + 1]
+            for tok, pr in enumerate(residual):
+                if pr > 0.0:
+                    nxt[draft[:tau] + (tok,)] += weight * pr
+
+    start = 0
+    if verifier == "naive-hsd":
+        def resample(context: Sequence) -> list[tuple[int, float]]:
+            return [(tok, pr) for tok, pr in enumerate(naive_branch_residual(p_model, q_model, context)) if pr > 0.0]
+
+        _push(levels, 0, gamma, resample)
+        start = gamma
+    _push(levels, start, L, lambda prefix: enumerate(p_model.conditional(prefix)))
+    return YieldDistribution(dict(levels[L]), L)
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,21 @@ def naive_hsd_chain(trace: DraftTrace) -> AcceptanceChain:
     return AcceptanceChain("naive-hsd", tuple(h))
 
 
-def _capped_h(dstar_pq: float, dstar_qp: float, t: int) -> float:
-    if dstar_qp <= 0.0:
-        if dstar_pq > 0.0:
+def _capped_ratios(
+    trace: DraftTrace,
+    chain: RatioChain,
+    cums: tuple[list[float], list[float]],
+) -> tuple[float, ...]:
+    """The capped acceptance ratios before their clamp to 1."""
+    h = []
+    for t in range(1, trace.gamma):
+        a, b = capped_branch_masses(trace, chain, t, cums)
+        dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
+        dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
+        if dstar_qp <= 0.0 < dstar_pq:
             logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, dstar_pq)
-        return 1.0
-    return min(dstar_pq / dstar_qp, 1.0)
+        h.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
+    return (*h, chain.rstar[-1])
 
 
 def _capped_h_values(
@@ -203,17 +212,7 @@ def _capped_h_values(
     chain: RatioChain,
     cums: tuple[list[float], list[float]],
 ) -> tuple[float, ...]:
-    gamma = trace.gamma
-    h = []
-    for t in range(1, gamma + 1):
-        if t == gamma:
-            h.append(chain.clamped_rstar[gamma - 1])
-            break
-        a, b = capped_branch_masses(trace, chain, t, cums)
-        dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
-        dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
-        h.append(_capped_h(dstar_pq, dstar_qp, t))
-    return tuple(h)
+    return tuple([min(v, 1.0) for v in _capped_ratios(trace, chain, cums)])
 
 
 def capped_hsd_chain(trace: DraftTrace) -> AcceptanceChain:

@@ -128,8 +128,10 @@ def test_bench_single_token_grid_orders_trivially(tmp_path, capsys):
 
 
 def test_bench_reports_per_trace_violations_of_the_pinned_formula(tmp_path, capsys):
-    # with the pinned blockwise acceptance formula, block >= token fails on
-    # a visible fraction of traces; bench must surface that with exit 2
+    # with the pinned blockwise acceptance formula, block >= token fails on a
+    # visible fraction of single traces; block verification only promises it
+    # over the draft distribution (docs/criterion-3.md), so bench reports the
+    # count on its own and exits 0
     out_path = tmp_path / "bench.json"
     code, out, _ = run(
         [
@@ -149,9 +151,12 @@ def test_bench_reports_per_trace_violations_of_the_pinned_formula(tmp_path, caps
         ],
         capsys,
     )
-    assert code == EXIT_SCIENCE
+    assert code == EXIT_OK
     doc = json.loads(out_path.read_text())
-    assert doc["summary"]["ordering_violations"] > 0
+    assert doc["summary"]["ordering_violations"] == 0
+    assert doc["summary"]["block_below_token"] > 0
+    assert doc["summary"]["block_below_token"] == doc["summary"]["configs"][0]["block_below_token"]
+    assert f"block<token={doc['summary']['block_below_token']}" in out
     # the mean-level ordering still holds
     means = {row["method"]: row["mean_expected_tau"] for row in doc["rows"]}
     assert means["hsd"] >= means["blockwise"] >= means["tokenwise"]

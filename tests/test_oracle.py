@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -29,6 +30,50 @@ def test_random_pairs_are_lossless(verifier):
         yielded = enumerate_yield(verifier, p, q, 3, 3)
         assert total_variation(yielded, target_joint_distribution(p, 3)) <= 1e-9
         assert abs(yielded.total() - 1.0) <= 1e-9
+
+
+# Refutation TVs of pair_for(0, vocab=3, eps=1.0), taken with the recursive
+# enumeration that the level-by-level push replaced: (depth, gamma, length) ->
+# h-double TV per single-draft verifier, then capped-hsd's unclamp TV.  The
+# second config runs target continuations past the bonus token.
+PINNED_REFUTATION_TVS = {
+    (3, 3, 3): (0.2972987942860805, 0.2668943197326449, 0.18951392117288965, 0.02296920744170482),
+    (4, 2, 4): (0.27341743272759855, 0.2298690660645002, 0.1797475934498639, 0.06470696759647031),
+}
+
+
+@pytest.mark.parametrize("depth, gamma, length", sorted(PINNED_REFUTATION_TVS))
+def test_refutation_tvs_match_the_pinned_enumeration(depth, gamma, length):
+    p, q = pair_for(0, vocab=3, depth=depth, eps=1.0)
+    target = target_joint_distribution(p, length)
+    runs = [(v, "h-double") for v in SINGLE_DRAFT_VERIFIERS] + [("capped-hsd", "unclamp")]
+    for (verifier, mutate), want in zip(runs, PINNED_REFUTATION_TVS[depth, gamma, length]):
+        tv = total_variation(enumerate_yield(verifier, p, q, gamma, length, mutate=mutate), target)
+        assert abs(tv - want) <= 1e-12 * want, (verifier, mutate, tv, want)
+    for verifier in SINGLE_DRAFT_VERIFIERS:
+        yielded = enumerate_yield(verifier, p, q, gamma, length)
+        assert total_variation(yielded, target) < 1e-9, verifier
+        assert abs(yielded.total() - 1.0) < 1e-9, verifier
+
+
+def test_target_joint_distribution_is_the_model_joint_bit_for_bit():
+    p, _ = pair_for(2, vocab=3, depth=4, eps=1.0)
+    target = target_joint_distribution(p, 4)
+    assert len(target.probs) == 3**4
+    for seq in product(range(3), repeat=4):
+        assert target.probs[seq] == p.joint(seq), seq
+
+
+def test_larger_grid_certifies_and_refutes():
+    # V=6, gamma=L=5: 7,776 drafts per verifier
+    p, q = pair_for(0, vocab=6, depth=5, eps=0.8)
+    target = target_joint_distribution(p, 5)
+    for verifier in SINGLE_DRAFT_VERIFIERS:
+        yielded = enumerate_yield(verifier, p, q, 5, 5)
+        assert total_variation(yielded, target) < 1e-9, verifier
+        assert abs(yielded.total() - 1.0) < 1e-9, verifier
+    mutated = enumerate_yield("naive-hsd", p, q, 5, 5, mutate="h-double")
+    assert total_variation(mutated, target) > 0.1
 
 
 def test_enumeration_guards():
