@@ -27,10 +27,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .metrics import method_expected_tau, whole_draft_acceptance
-from .models import ModelPairSpec, generate_model_pair, sample_draft, substream
+from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, substream
 from .oracle import (
     MULTI_DRAFT_VERIFIERS,
     MUTATIONS,
@@ -88,8 +86,7 @@ ORACLE_COLUMNS = [
 
 def derive_seed(master: int, *keys: int) -> int:
     """Stable 64-bit seed for a sub-experiment."""
-    ss = np.random.SeedSequence((master & ((1 << 64) - 1), *keys))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_state(master, keys, 1)[0])
 
 
 def _resolve_out(out: str | None, default_name: str) -> Path:

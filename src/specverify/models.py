@@ -20,6 +20,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # A categorical distribution over token ids [0, V); entries sum to 1.
 Dist = tuple[float, ...]
@@ -27,6 +28,7 @@ Dist = tuple[float, ...]
 Sequence = tuple[int, ...]
 
 _SEED_MASK = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _STREAM_LOGITS = 0
 _STREAM_NOISE = 1
 
@@ -35,14 +37,62 @@ _STREAM_NOISE = 1
 MAX_SERIALIZABLE_PREFIXES = 200_000
 
 
+# numpy's SeedSequence.generate_state hashes output word i with the pair
+# (INIT_B * MULT_B**i, INIT_B * MULT_B**(i + 1)) mod 2**32: an xor, then a
+# multiplier.  Neither depends on the entropy, so they are computed once.
+_STATE_HASH = tuple(
+    (0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED ** (i + 1) & _MASK32) for i in range(8)
+)
+
+
+def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndarray:
+    """``SeedSequence((master_seed & 2**64 - 1, *keys)).generate_state(n_words, np.uint64)``.
+
+    Each key is split into little-endian uint32 words here, as numpy does,
+    and only the mixing of those words into the pool is left to numpy.
+    """
+    words = []
+    for key in (master_seed & _SEED_MASK, *keys):
+        if key < 0:
+            # numpy's SeedSequence rejects negative entropy the same way
+            raise ValueError(f"stream keys must be non-negative, got {key}")
+        while key > _MASK32:
+            words.append(key & _MASK32)
+            key >>= 32
+        words.append(key)
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+    state = []
+    for i, (xor, mult) in enumerate(_STATE_HASH[: 2 * n_words]):
+        # output word i cycles over the 4 pool words
+        word = (pool[i & 3] ^ xor) * mult & _MASK32
+        state.append(word ^ word >> 16)
+    # numpy views its uint32 output as uint64 the same way
+    return np.array(state, dtype=np.uint32).view(np.uint64)
+
+
+class _FixedSeedState(ISeedSequence):
+    """Hands ``PCG64`` the seed state :func:`seed_state` computed; it cannot spawn."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self._state
+
+
 def substream(master_seed: int, *keys: int) -> np.random.Generator:
     """Derive an independent random stream from a master seed and index keys.
 
     Streams for distinct key tuples are statistically independent, and the
     derivation is deterministic, so trials can run concurrently or in any
-    order without sharing generator state.
+    order without sharing generator state.  The stream equals
+    ``np.random.default_rng(np.random.SeedSequence((master_seed & 2**64 - 1, *keys)))``
+    bit for bit, and negative keys raise ``ValueError`` as there.  Unlike
+    that generator, the returned one's ``bit_generator.seed_seq`` cannot
+    ``spawn``.
     """
-    return np.random.default_rng(np.random.SeedSequence((master_seed & _SEED_MASK, *keys)))
+    # PCG64 seeds itself from generate_state(4, np.uint64)
+    return np.random.Generator(np.random.PCG64(_FixedSeedState(seed_state(master_seed, keys, 4))))
 
 
 def index_from_uniform(dist: Dist, u: float) -> int:
@@ -221,6 +271,10 @@ def generate_model_pair(spec: ModelPairSpec) -> tuple[TableArModel, TableArModel
 
     def draft_gen(prefix: Sequence) -> Dist:
         logits = logits_for(prefix)
+        # the target conditional comes from the same logits: keep it, so the
+        # target never derives this prefix's stream a second time
+        if prefix not in p._table:
+            p._table[prefix] = p._check_dist(prefix, _softmax(logits))
         if eps != 0.0:
             noise = substream(seed, _STREAM_NOISE, len(prefix), *prefix).standard_normal(vocab)
             logits = logits + eps * noise

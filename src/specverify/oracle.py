@@ -177,13 +177,13 @@ def enumerate_yield(
         if verifier == "tokenwise":
             tau_probs = _tau_probs_forward(_apply_mutation(tokenwise_chain(trace).h, mutate))
         elif verifier == "naive-hsd":
-            tau_probs = _tau_probs_backward(_apply_mutation(naive_hsd_chain(trace).h, mutate))
+            tau_probs = _tau_probs_backward(_apply_mutation(naive_hsd_chain(trace, cums).h, mutate))
         else:
             chain = ratio_chain(trace)
             if mutate == "unclamp":
                 h = _capped_ratios(trace, chain, cums)
             else:
-                h = _apply_mutation(capped_hsd_chain(trace).h, mutate)
+                h = _apply_mutation(capped_hsd_chain(trace, chain, cums).h, mutate)
             tau_probs = _tau_probs_backward(h)
         for tau, pr_tau in enumerate(tau_probs):
             weight = q_joint * pr_tau
@@ -276,8 +276,6 @@ def _mutated_single_verify(
         # unclamping only changes the analytic law (1 - h goes negative);
         # a sampling scan cannot distinguish h > 1 from h = 1
         raise ValueError("the unclamp mutation is only observable under enumeration")
-    chain = ratio_chain(trace)
-    cums = joint_products(trace)
     if verifier == "tokenwise":
         h = _apply_mutation(tokenwise_chain(trace).h, mutate)
         tau, events = forward_scan(h, rng)
@@ -285,7 +283,9 @@ def _mutated_single_verify(
         h = _apply_mutation(naive_hsd_chain(trace).h, mutate)
         tau, events = backward_scan(h, rng)
     else:
-        h = _apply_mutation(capped_hsd_chain(trace).h, mutate)
+        chain = ratio_chain(trace)
+        cums = joint_products(trace)
+        h = _apply_mutation(capped_hsd_chain(trace, chain, cums).h, mutate)
         tau, events = backward_scan(h, rng)
     emitted = list(trace.tokens[:tau])
     if tau == trace.gamma:
@@ -384,7 +384,9 @@ def monte_carlo_fit(
     Every trial owns the random substream derived from (master_seed, trial
     index), so results are identical for any worker count.  The run passes
     when every per-sequence count sits within 4-sigma binomial bounds and the
-    empirical total variation stays under ``3 * sqrt(V**L / trials)``.
+    empirical total variation stays under ``3 * sqrt(V**L / trials)``.  A
+    simulated sequence outside the target's support fails the fit with an
+    infinite z and is reported as the worst sequence.
     """
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10^4, got {trials}")
@@ -453,9 +455,15 @@ def monte_carlo_fit(
         elif count > 0:  # impossible sequence observed
             z_violations += 1
             max_z = math.inf
+    # a sequence the target cannot emit at all (a token out of range) is the
+    # worst deviation there is: infinite z, and all its mass in tv
     stray = set(counts) - set(expected.probs)
     if stray:
-        raise ValueError(f"simulated sequences outside the expected support: {sorted(stray)[:3]}")
+        l1_terms.extend(counts[seq] / trials for seq in stray)
+        z_violations += len(stray)
+        max_z = math.inf
+        worst_seq = max(sorted(stray), key=counts.__getitem__)
+        worst_err = counts[worst_seq] / trials
     tv = 0.5 * math.fsum(l1_terms)
     tv_bound = 3.0 * math.sqrt(p_model.vocab_size**length / trials)
     passed = z_violations == 0 and tv < tv_bound

@@ -168,10 +168,16 @@ def _naive_h(d_pq: float, d_qp: float) -> float:
     return d_pq / den
 
 
-def naive_hsd_chain(trace: DraftTrace) -> AcceptanceChain:
-    """Acceptance chain of the naive branch-resampling verifier."""
+def naive_hsd_chain(
+    trace: DraftTrace,
+    cums: tuple[list[float], list[float]] | None = None,
+) -> AcceptanceChain:
+    """Acceptance chain of the naive branch-resampling verifier.
+
+    ``cums`` lets callers that already hold ``joint_products(trace)`` pass it.
+    """
     chain = ratio_chain(trace)
-    p_cum, q_cum = joint_products(trace)
+    p_cum, q_cum = cums if cums is not None else joint_products(trace)
     gamma = trace.gamma
     h = []
     for t in range(1, gamma + 1):
@@ -215,10 +221,19 @@ def _capped_h_values(
     return tuple([min(v, 1.0) for v in _capped_ratios(trace, chain, cums)])
 
 
-def capped_hsd_chain(trace: DraftTrace) -> AcceptanceChain:
-    """Acceptance chain of the capped branch-resampling verifier."""
-    chain = ratio_chain(trace)
-    return AcceptanceChain("capped-hsd", _capped_h_values(trace, chain, joint_products(trace)))
+def capped_hsd_chain(
+    trace: DraftTrace,
+    chain: RatioChain | None = None,
+    cums: tuple[list[float], list[float]] | None = None,
+) -> AcceptanceChain:
+    """Acceptance chain of the capped branch-resampling verifier.
+
+    ``chain`` and ``cums`` let callers that already hold ``ratio_chain(trace)``
+    and ``joint_products(trace)`` pass them.
+    """
+    chain = chain if chain is not None else ratio_chain(trace)
+    cums = cums if cums is not None else joint_products(trace)
+    return AcceptanceChain("capped-hsd", _capped_h_values(trace, chain, cums))
 
 
 def blockwise_acceptance_chain(trace: DraftTrace) -> AcceptanceChain:
@@ -233,15 +248,17 @@ def blockwise_acceptance_chain(trace: DraftTrace) -> AcceptanceChain:
     clamp = [1.0]
     for cr in chain.cond_r:
         clamp.append(min(clamp[-1] * cr, 1.0))
+    # best[t] = min(1, min over s < t of cond_r[s] * ... * cond_r[t - 1]), each
+    # product built left to right from s and the minimum taken in order of s
+    best = [1.0] * (gamma + 1)
+    for s in range(gamma):
+        prod = 1.0
+        for t in range(s + 1, gamma + 1):
+            prod = prod * chain.cond_r[t - 1]
+            best[t] = min(best[t], prod)
     for t in range(gamma + 1):
-        best = 1.0
-        for s in range(t):
-            prod = 1.0
-            for i in range(s, t):
-                prod = prod * chain.cond_r[i]
-            best = min(best, prod)
-        if abs(clamp[t] - best) > 1e-12:
-            raise AssertionError(f"clamp recursion {clamp[t]!r} disagrees with suffix minimum {best!r} at {t}")
+        if abs(clamp[t] - best[t]) > 1e-12:
+            raise AssertionError(f"clamp recursion {clamp[t]!r} disagrees with suffix minimum {best[t]!r} at {t}")
     h = []
     for t in range(1, gamma + 1):
         if t == gamma:

@@ -1,6 +1,7 @@
 import pytest
 
 from specverify.models import ModelPairSpec, generate_model_pair
+from specverify.verify import VerifyOutcome, tokenwise_verify
 
 
 @pytest.fixture
@@ -21,3 +22,22 @@ def pair_for(seed, vocab=3, depth=4, eps=0.8, conc=1.2):
     return generate_model_pair(
         ModelPairSpec(vocab_size=vocab, max_depth=depth, seed=seed, divergence_knob=eps, concentration=conc)
     )
+
+
+def stray_tokenwise(every):
+    """A tokenwise verifier that emits the out-of-range token V on every ``every``-th call.
+
+    The stray output covers the whole draft plus its bonus, so no target
+    continuation is asked for the impossible prefix.
+    """
+    calls = [0]
+
+    def verify(trace, rng):
+        outcome = tokenwise_verify(trace, rng)
+        calls[0] += 1
+        if calls[0] % every:
+            return outcome
+        vocab = len(trace.q_dists[0])
+        return VerifyOutcome(outcome.tau, (vocab,) * (trace.gamma + 1), outcome.events)
+
+    return verify

@@ -1,6 +1,9 @@
 import json
 
+from specverify import oracle
 from specverify.cli import EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, main
+
+from conftest import stray_tokenwise
 
 
 def run(argv, capsys):
@@ -206,6 +209,20 @@ def test_mc_drafts_flag_switches_to_multidraft(tmp_path, capsys):
     report = json.loads(out_path.read_text())["report"]
     assert report["verifier"] == "multidraft-hsd"
     assert report["k_drafts"] == 2
+
+
+def test_mc_exits_with_science_failure_on_stray_sequences(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise(100))
+    out_path = tmp_path / "mc.json"
+    code, out, _ = run(
+        ["mc", "--verifier", "tokenwise", "--vocab", "2", "--gamma", "2", "--trials", "10000", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_SCIENCE
+    assert "FAIL" in out
+    report = json.loads(out_path.read_text())["report"]
+    assert report["pass"] is False
+    assert report["worst_sequence"] == [2, 2]
 
 
 def test_mc_naive_has_no_multidraft_variant(tmp_path, capsys):

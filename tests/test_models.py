@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+import struct
 from itertools import product
 
+import numpy as np
 import pytest
 
+from specverify.cli import derive_seed
 from specverify.models import (
     DraftTrace,
     ModelPairSpec,
@@ -206,3 +210,63 @@ def test_draft_trace_is_immutable(small_pair):
     assert isinstance(trace, DraftTrace)
     with pytest.raises(AttributeError):
         trace.tokens = (0, 0)
+
+
+def _numpy_stream(master, *keys):
+    return np.random.default_rng(np.random.SeedSequence((master & ((1 << 64) - 1), *keys)))
+
+
+def test_substream_equals_the_numpy_seed_sequence_stream():
+    masters = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -1, 2**70 + 3]
+    keygen = np.random.default_rng(2026)
+    for i in range(2_000):
+        master = masters[i % len(masters)] if i % 2 else int(keygen.integers(0, 2**63))
+        n_keys = i % 15
+        bound = 2**63 if i % 5 == 0 else 100
+        keys = [int(k) for k in keygen.integers(0, bound, size=n_keys)]
+        if i % 3 == 0:
+            keys = [np.int64(k) for k in keys]
+        elif i % 7 == 0 and keys:
+            keys[-1] += 2**64  # a key wider than 64 bits
+        ours, ref = substream(master, *keys), _numpy_stream(master, *keys)
+        assert ours.bit_generator.state == ref.bit_generator.state, (master, keys)
+        assert ours.random() == ref.random()
+        assert ours.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+        assert derive_seed(master, *keys) == int(
+            np.random.SeedSequence((master & ((1 << 64) - 1), *keys)).generate_state(1, np.uint64)[0]
+        )
+
+
+@pytest.mark.parametrize("keys", [(-1,), (0, -5), (3, np.int64(-2))])
+def test_substream_rejects_negative_keys_like_numpy(keys):
+    with pytest.raises(ValueError):
+        _numpy_stream(7, *keys)
+    with pytest.raises(ValueError):
+        substream(7, *keys)
+    with pytest.raises(ValueError):
+        derive_seed(7, *keys)
+
+
+def _model_outputs_digest() -> str:
+    """SHA-256 over seeded conditionals, sampled draft tokens and derived seeds."""
+    digest = hashlib.sha256()
+    # the target is asked first for one pair and the draft first for the
+    # other, so a memo shared between the two cannot change a value unseen
+    for seed, eps, target_first in ((11, 0.0, True), (12, 0.8, False)):
+        p, q = generate_model_pair(ModelPairSpec(3, 4, seed, eps))
+        for model in (p, q) if target_first else (q, p):
+            for prefix in model.prefixes():
+                model.conditional(prefix)
+        for model in (p, q):
+            for prefix in model.prefixes():
+                digest.update(struct.pack("<3d", *model.conditional(prefix)))
+    p, q = generate_model_pair(ModelPairSpec(4, 6, 13, 0.5))
+    for i in range(200):
+        digest.update(bytes(sample_draft(q, p, (), 5, substream(90, i)).tokens))
+    for key in ((0,), (0, 1), (7, 3), (2**64 + 5, 2), (-1, 0), (123456789, 4, 2**40)):
+        digest.update(derive_seed(*key).to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
+def test_model_outputs_match_the_golden_digest():
+    assert _model_outputs_digest() == "5224075dea028adb373ca8e88361925c6f478f17717bb1db9c205f8caedf8670"

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from specverify import oracle
 from specverify.models import TableArModel
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
@@ -13,7 +14,7 @@ from specverify.oracle import (
     total_variation,
 )
 
-from conftest import pair_for
+from conftest import pair_for, stray_tokenwise
 
 
 @pytest.mark.parametrize("verifier", SINGLE_DRAFT_VERIFIERS)
@@ -182,6 +183,18 @@ def test_monte_carlo_rejects_shallow_models():
     p, q = pair_for(6, vocab=2, depth=2, eps=0.5)
     with pytest.raises(ValueError):
         monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 1)  # no room for a bonus
+
+
+def test_monte_carlo_reports_stray_sequences_as_a_failed_fit(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise(100))
+    report = monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 24)
+    assert not report.passed
+    assert report.max_z == math.inf
+    assert report.z_violations >= 1
+    assert report.worst_sequence == (2, 2)
+    assert report.worst_error == 100 / 10_000
+    assert report.tv >= 0.5 * 100 / 10_000
 
 
 def test_fit_report_round_trips_to_dict(small_pair):
