@@ -17,7 +17,7 @@ from .divergence import (
     ratio_chain_from_conditionals,
     unique_capping_indices,
 )
-from .metrics import BenchResult, bench_expected_tau, method_expected_tau, sampled_tau, whole_draft_acceptance
+from .metrics import method_expected_tau, whole_draft_acceptance
 from .models import (
     Dist,
     DraftTrace,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcceptanceChain",
-    "BenchResult",
     "BranchDivergences",
     "CappedBranchDivergences",
     "Dist",
@@ -71,7 +70,6 @@ __all__ = [
     "TableArModel",
     "VerifyOutcome",
     "YieldDistribution",
-    "bench_expected_tau",
     "blockwise_acceptance_chain",
     "branch_divergences",
     "capped_branch_divergences",
@@ -92,7 +90,6 @@ __all__ = [
     "ratio_chain",
     "ratio_chain_from_conditionals",
     "sample_draft",
-    "sampled_tau",
     "substream",
     "target_joint_distribution",
     "tokenwise_chain",

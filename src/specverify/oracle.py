@@ -10,8 +10,13 @@ floating-point precision.  :func:`monte_carlo_fit` is the statistical
 fallback for configurations where enumeration is infeasible, such as
 multi-draft verification.
 
-Both entry points accept an optional ``mutate`` knob that corrupts the
-acceptance chain on purpose; a healthy test suite must catch every mutation.
+Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
+one definition its public sampler also reads.  Their ``mutate`` argument
+corrupts a verifier on purpose, and a healthy test suite must catch every
+mutation: ``h-double`` doubles the acceptance chain (clamped to 1) of any
+single-draft verifier, under enumeration or sampling; ``unclamp`` hands
+capped-hsd's ratios to the analytic scan law before their clamp to 1, which
+only enumeration can see.
 """
 
 from __future__ import annotations
@@ -25,38 +30,21 @@ from itertools import product
 import numpy as np
 
 from .divergence import joint_products, ratio_chain
-from .models import (
-    DraftTrace,
-    Sequence,
-    TableArModel,
-    sample_draft,
-    sample_index,
-    substream,
-    trace_for,
-)
+from .models import Sequence, TableArModel, sample_draft, sample_index, substream, trace_for
 from .verify import (
-    VerifyOutcome,
-    backward_scan,
-    capped_branch_residual,
-    capped_hsd_chain,
+    SINGLE_DRAFT,
     capped_hsd_verify,
-    forward_scan,
     multidraft_hsd_verify,
     multidraft_tokenwise_verify,
     naive_branch_residual,
-    naive_hsd_chain,
     naive_hsd_verify,
-    tokenwise_chain,
-    tokenwise_residual,
     tokenwise_verify,
-    Event,
     _capped_ratios,
-    _draw,
-    _emit_bonus,
+    _single_draft_verify,
 )
 
 ENUMERATION_GUARD = 100_000
-SINGLE_DRAFT_VERIFIERS = ("tokenwise", "naive-hsd", "capped-hsd")
+SINGLE_DRAFT_VERIFIERS = tuple(SINGLE_DRAFT)
 MULTI_DRAFT_VERIFIERS = ("multidraft-tokenwise", "multidraft-hsd")
 MUTATIONS = ("h-double", "unclamp")
 
@@ -125,12 +113,26 @@ def _tau_probs_forward(h: tuple[float, ...]) -> list[float]:
     return pr
 
 
-def _apply_mutation(h: tuple[float, ...], mutate: str | None) -> tuple[float, ...]:
-    if mutate is None or mutate == "unclamp":
-        return h
-    if mutate == "h-double":
-        return tuple(min(2.0 * v, 1.0) for v in h)
-    raise ValueError(f"unknown mutation {mutate!r}; expected one of {MUTATIONS}")
+# scan direction -> accepted-length law of that scan over a chain
+TAU_LAWS = {"forward": _tau_probs_forward, "backward": _tau_probs_backward}
+
+
+def _doubled(h: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(min(2.0 * v, 1.0) for v in h)
+
+
+def _check_mutation(verifier: str, mutate: str | None, enumerated: bool) -> None:
+    if mutate is None:
+        return
+    if mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}; expected one of {MUTATIONS}")
+    if verifier not in SINGLE_DRAFT_VERIFIERS:
+        raise ValueError("mutations are not supported for multi-draft verifiers")
+    if mutate == "unclamp" and verifier != "capped-hsd":
+        raise ValueError("the unclamp mutation only applies to capped-hsd")
+    if mutate == "unclamp" and not enumerated:
+        # a sampling scan cannot tell h > 1 from h = 1
+        raise ValueError("the unclamp mutation is only observable under enumeration")
 
 
 def enumerate_yield(
@@ -152,10 +154,7 @@ def enumerate_yield(
     """
     if verifier not in SINGLE_DRAFT_VERIFIERS:
         raise ValueError(f"unknown verifier {verifier!r}; expected one of {SINGLE_DRAFT_VERIFIERS}")
-    if mutate is not None and mutate not in MUTATIONS:
-        raise ValueError(f"unknown mutation {mutate!r}; expected one of {MUTATIONS}")
-    if mutate == "unclamp" and verifier != "capped-hsd":
-        raise ValueError("the unclamp mutation only applies to capped-hsd")
+    _check_mutation(verifier, mutate, enumerated=True)
     vocab = p_model.vocab_size
     L = gamma if length is None else length
     if L < gamma:
@@ -165,44 +164,38 @@ def enumerate_yield(
     if min(p_model.max_depth, q_model.max_depth) < L:
         raise ValueError(f"models of depth < {L} cannot be enumerated to that length")
 
-    # levels[n]: mass at emitted prefixes of length n; for naive-hsd, levels
-    # below gamma hold the contexts still to be resampled
+    plan, scan = SINGLE_DRAFT[verifier]
+    tau_law = TAU_LAWS[scan]
+    # levels[n]: mass at emitted prefixes of length n; for a verifier that
+    # refills (naive-hsd), levels below gamma hold the contexts it resamples
     levels: list[dict[Sequence, float]] = [defaultdict(float) for _ in range(L + 1)]
+    refill = False
     for draft in product(range(vocab), repeat=gamma):
         trace = trace_for(q_model, p_model, (), draft)
         cums = joint_products(trace)
         q_joint = cums[1][gamma]
         if q_joint == 0.0:
             continue
-        if verifier == "tokenwise":
-            tau_probs = _tau_probs_forward(_apply_mutation(tokenwise_chain(trace).h, mutate))
-        elif verifier == "naive-hsd":
-            tau_probs = _tau_probs_backward(_apply_mutation(naive_hsd_chain(trace, cums).h, mutate))
-        else:
-            chain = ratio_chain(trace)
-            if mutate == "unclamp":
-                h = _capped_ratios(trace, chain, cums)
-            else:
-                h = _apply_mutation(capped_hsd_chain(trace, chain, cums).h, mutate)
-            tau_probs = _tau_probs_backward(h)
-        for tau, pr_tau in enumerate(tau_probs):
+        h, residual = plan(trace, cums)
+        refill = residual is None
+        if mutate == "h-double":
+            h = _doubled(h)
+        elif mutate == "unclamp":
+            h = _capped_ratios(trace, ratio_chain(trace), cums)
+        for tau, pr_tau in enumerate(tau_law(h)):
             weight = q_joint * pr_tau
             if weight == 0.0:
                 continue
-            if tau == gamma or verifier == "naive-hsd":
+            if tau == gamma or refill:
                 levels[tau][draft[:tau]] += weight
                 continue
-            if verifier == "tokenwise":
-                residual = tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
-            else:
-                residual = capped_branch_residual(trace, chain, tau, cums)
             nxt = levels[tau + 1]
-            for tok, pr in enumerate(residual):
+            for tok, pr in enumerate(residual(tau)):
                 if pr > 0.0:
                     nxt[draft[:tau] + (tok,)] += weight * pr
 
     start = 0
-    if verifier == "naive-hsd":
+    if refill:
         def resample(context: Sequence) -> list[tuple[int, float]]:
             return [(tok, pr) for tok, pr in enumerate(naive_branch_residual(p_model, q_model, context)) if pr > 0.0]
 
@@ -259,58 +252,6 @@ class FitReport:
         }
 
 
-def _mutated_single_verify(
-    verifier: str,
-    trace: DraftTrace,
-    p_model: TableArModel,
-    q_model: TableArModel,
-    rng: np.random.Generator,
-    mutate: str,
-) -> VerifyOutcome:
-    """Run a single-draft verifier with its acceptance chain corrupted.
-
-    Shares every building block with the production verifiers; only the h
-    values differ.
-    """
-    if mutate == "unclamp":
-        # unclamping only changes the analytic law (1 - h goes negative);
-        # a sampling scan cannot distinguish h > 1 from h = 1
-        raise ValueError("the unclamp mutation is only observable under enumeration")
-    if verifier == "tokenwise":
-        h = _apply_mutation(tokenwise_chain(trace).h, mutate)
-        tau, events = forward_scan(h, rng)
-    elif verifier == "naive-hsd":
-        h = _apply_mutation(naive_hsd_chain(trace).h, mutate)
-        tau, events = backward_scan(h, rng)
-    else:
-        chain = ratio_chain(trace)
-        cums = joint_products(trace)
-        h = _apply_mutation(capped_hsd_chain(trace, chain, cums).h, mutate)
-        tau, events = backward_scan(h, rng)
-    emitted = list(trace.tokens[:tau])
-    if tau == trace.gamma:
-        emitted.append(_emit_bonus(trace.bonus_dist, trace.gamma + 1, rng, events))
-    elif verifier == "tokenwise":
-        residual = tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
-        tok, u = _draw(residual, rng)
-        events.append(Event(tau + 1, "resample", residual[tok], u))
-        emitted.append(tok)
-    elif verifier == "naive-hsd":
-        context = trace.prefix + trace.tokens[:tau]
-        for t in range(tau, trace.gamma):
-            residual = naive_branch_residual(p_model, q_model, context)
-            tok, u = _draw(residual, rng)
-            events.append(Event(t + 1, "resample", residual[tok], u))
-            emitted.append(tok)
-            context = context + (tok,)
-    else:
-        residual = capped_branch_residual(trace, chain, tau, cums)
-        tok, u = _draw(residual, rng)
-        events.append(Event(tau + 1, "resample", residual[tok], u))
-        emitted.append(tok)
-    return VerifyOutcome(tau, tuple(emitted), tuple(events))
-
-
 def _simulate_sequence(
     verifier: str,
     p_model: TableArModel,
@@ -324,8 +265,8 @@ def _simulate_sequence(
     """One end-to-end generation: draft, verify, continue from the target."""
     if verifier in SINGLE_DRAFT_VERIFIERS:
         trace = sample_draft(q_model, p_model, (), gamma, rng)
-        if mutate is not None:
-            outcome = _mutated_single_verify(verifier, trace, p_model, q_model, rng, mutate)
+        if mutate is not None:  # h-double, the one mutation sampling can see
+            outcome = _single_draft_verify(verifier, trace, rng, p_model, q_model, _doubled)
         elif verifier == "tokenwise":
             outcome = tokenwise_verify(trace, rng)
         elif verifier == "naive-hsd":
@@ -333,8 +274,6 @@ def _simulate_sequence(
         else:
             outcome = capped_hsd_verify(trace, rng)
     else:
-        if mutate is not None:
-            raise ValueError("mutations are not supported for multi-draft verifiers")
         traces = [sample_draft(q_model, p_model, (), gamma, rng) for _ in range(k_drafts)]
         if verifier == "multidraft-hsd":
             outcome = multidraft_hsd_verify(traces, rng)
@@ -401,6 +340,7 @@ def monte_carlo_fit(
     depth = min(p_model.max_depth, q_model.max_depth)
     if depth < max(length, gamma + 1):
         raise ValueError(f"models of depth {depth} cannot run gamma={gamma} with continuations to {length}")
+    _check_mutation(verifier, mutate, enumerated=False)
 
     if workers > 1:
         payloads = []

@@ -1,11 +1,14 @@
 """Draft verification strategies over table models.
 
-Four single-draft verifiers are implemented: tokenwise accept/resample,
-branch resampling in its naive form (which must query the models off the
-drafted path), branch resampling with the maximal prefix ratio capped (which
-needs nothing beyond the trace), and blockwise acceptance to chain depth.
-Two multi-draft variants layer recursive rejection sampling with replacement
-on top of the tokenwise and capped verifiers.
+Each single-draft verifier is defined once, as an entry of the
+:data:`SINGLE_DRAFT` table: tokenwise accept/resample, branch resampling in
+its naive form (which must query the models off the drafted path), and
+branch resampling with the maximal prefix ratio capped (which needs nothing
+beyond the trace).  The samplers here and the exact enumeration and mutation
+tests of :mod:`specverify.oracle` all read that table.  Blockwise acceptance
+is kept to chain depth, as the independent reference for capped-hsd.  Two
+multi-draft variants layer recursive rejection sampling with replacement on
+top of the tokenwise and capped verifiers.
 
 Every verifier consumes one uniform per decision, drawn in scan order, so a
 trajectory can be replayed from its event log.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,8 @@ from .divergence import (
 from .models import Dist, DraftTrace, Sequence, TableArModel, index_from_uniform
 
 logger = logging.getLogger(__name__)
+
+Cums = tuple[list[float], list[float]]  # joint_products(trace): target and draft joints along the draft
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +80,12 @@ class AcceptanceChain:
 def _draw(dist: Dist, rng: np.random.Generator) -> tuple[int, float]:
     u = rng.random()
     return index_from_uniform(dist, u), u
+
+
+def _resample(dist: Dist, position: int, rng: np.random.Generator, events: list[Event]) -> int:
+    tok, u = _draw(dist, rng)
+    events.append(Event(position, "resample", dist[tok], u))
+    return tok
 
 
 def _emit_bonus(bonus: Dist | None, position: int, rng: np.random.Generator, events: list[Event]) -> int:
@@ -135,12 +147,7 @@ def naive_branch_residual(p_model: TableArModel, q_model: TableArModel, context:
     return tuple(n / den for n in num)
 
 
-def capped_branch_residual(
-    trace: DraftTrace,
-    chain: RatioChain,
-    t: int,
-    cums: tuple[list[float], list[float]] | None = None,
-) -> Dist:
+def capped_branch_residual(trace: DraftTrace, chain: RatioChain, t: int, cums: Cums | None = None) -> Dist:
     """Single-step resampling distribution over the branch of the first ``t`` tokens."""
     a, b = capped_branch_masses(trace, chain, t, cums)
     num = [max(ai - bi, 0.0) for ai, bi in zip(a, b)]
@@ -168,10 +175,7 @@ def _naive_h(d_pq: float, d_qp: float) -> float:
     return d_pq / den
 
 
-def naive_hsd_chain(
-    trace: DraftTrace,
-    cums: tuple[list[float], list[float]] | None = None,
-) -> AcceptanceChain:
+def naive_hsd_chain(trace: DraftTrace, cums: Cums | None = None) -> AcceptanceChain:
     """Acceptance chain of the naive branch-resampling verifier.
 
     ``cums`` lets callers that already hold ``joint_products(trace)`` pass it.
@@ -196,11 +200,7 @@ def naive_hsd_chain(
     return AcceptanceChain("naive-hsd", tuple(h))
 
 
-def _capped_ratios(
-    trace: DraftTrace,
-    chain: RatioChain,
-    cums: tuple[list[float], list[float]],
-) -> tuple[float, ...]:
+def _capped_ratios(trace: DraftTrace, chain: RatioChain, cums: Cums) -> tuple[float, ...]:
     """The capped acceptance ratios before their clamp to 1."""
     h = []
     for t in range(1, trace.gamma):
@@ -213,19 +213,7 @@ def _capped_ratios(
     return (*h, chain.rstar[-1])
 
 
-def _capped_h_values(
-    trace: DraftTrace,
-    chain: RatioChain,
-    cums: tuple[list[float], list[float]],
-) -> tuple[float, ...]:
-    return tuple([min(v, 1.0) for v in _capped_ratios(trace, chain, cums)])
-
-
-def capped_hsd_chain(
-    trace: DraftTrace,
-    chain: RatioChain | None = None,
-    cums: tuple[list[float], list[float]] | None = None,
-) -> AcceptanceChain:
+def capped_hsd_chain(trace: DraftTrace, chain: RatioChain | None = None, cums: Cums | None = None) -> AcceptanceChain:
     """Acceptance chain of the capped branch-resampling verifier.
 
     ``chain`` and ``cums`` let callers that already hold ``ratio_chain(trace)``
@@ -233,7 +221,7 @@ def capped_hsd_chain(
     """
     chain = chain if chain is not None else ratio_chain(trace)
     cums = cums if cums is not None else joint_products(trace)
-    return AcceptanceChain("capped-hsd", _capped_h_values(trace, chain, cums))
+    return AcceptanceChain("capped-hsd", tuple([min(v, 1.0) for v in _capped_ratios(trace, chain, cums)]))
 
 
 def blockwise_acceptance_chain(trace: DraftTrace) -> AcceptanceChain:
@@ -302,19 +290,74 @@ def expected_accept_length(chain: AcceptanceChain, mode: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def tokenwise_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutcome:
-    """Front-to-back accept/resample verification of one drafted block."""
+Plan = tuple[tuple[float, ...], Callable[[int], Dist] | None]
+
+
+def _tokenwise_plan(trace: DraftTrace, cums: Cums | None = None) -> Plan:
     h = tokenwise_chain(trace).h
-    tau, events = forward_scan(h, rng)
+    return h, lambda tau: tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
+
+
+def _naive_hsd_plan(trace: DraftTrace, cums: Cums | None = None) -> Plan:
+    return naive_hsd_chain(trace, cums).h, None
+
+
+def _capped_hsd_plan(trace: DraftTrace, cums: Cums | None = None) -> Plan:
+    chain = ratio_chain(trace)
+    cums = cums if cums is not None else joint_products(trace)
+    h = capped_hsd_chain(trace, chain, cums).h
+    return h, lambda tau: capped_branch_residual(trace, chain, tau, cums)
+
+
+# verifier -> (plan, scan direction).  A plan maps ``(trace, cums=None)``,
+# where ``cums`` is ``joint_products(trace)`` if the caller holds it, to
+# ``(h, residual)``: the acceptance chain, and ``residual(tau)``, the law of
+# the token drawn after a rejection at ``tau``.  ``residual`` is None for
+# naive-hsd, which refills positions ``tau + 1 .. gamma`` one at a time from
+# ``naive_branch_residual``.  Plans, residuals and scans are called by their
+# module-level names, so whatever rebinds those names is seen by every caller.
+SINGLE_DRAFT = {
+    "tokenwise": (_tokenwise_plan, "forward"),
+    "naive-hsd": (_naive_hsd_plan, "backward"),
+    "capped-hsd": (_capped_hsd_plan, "backward"),
+}
+SCANS = {"forward": forward_scan, "backward": backward_scan}
+
+
+def _single_draft_verify(
+    verifier: str,
+    trace: DraftTrace,
+    rng: np.random.Generator,
+    p_model: TableArModel | None = None,
+    q_model: TableArModel | None = None,
+    transform: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
+) -> VerifyOutcome:
+    """Sample one verification of ``trace`` by the :data:`SINGLE_DRAFT` entry of ``verifier``.
+
+    ``transform``, if given, maps the acceptance chain before the scan; the
+    mutation tests use it to corrupt a verifier on purpose.  naive-hsd needs
+    both models for its refill.
+    """
+    plan, scan = SINGLE_DRAFT[verifier]
+    h, residual = plan(trace)
+    if transform is not None:
+        h = transform(h)
+    tau, events = SCANS[scan](h, rng)
     emitted = list(trace.tokens[:tau])
     if tau == trace.gamma:
         emitted.append(_emit_bonus(trace.bonus_dist, trace.gamma + 1, rng, events))
-    else:
-        residual = tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
-        tok, u = _draw(residual, rng)
-        events.append(Event(tau + 1, "resample", residual[tok], u))
-        emitted.append(tok)
+    elif residual is not None:
+        emitted.append(_resample(residual(tau), tau + 1, rng, events))
+    else:  # no single-step residual: refill every position to the end of the block
+        for t in range(tau, trace.gamma):
+            dist = naive_branch_residual(p_model, q_model, trace.prefix + tuple(emitted))
+            emitted.append(_resample(dist, t + 1, rng, events))
     return VerifyOutcome(tau, tuple(emitted), tuple(events))
+
+
+def tokenwise_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutcome:
+    """Front-to-back accept/resample verification of one drafted block."""
+    return _single_draft_verify("tokenwise", trace, rng)
 
 
 def naive_hsd_verify(
@@ -331,20 +374,7 @@ def naive_hsd_verify(
     token.  Only a fully accepted draft earns the bonus, so emitted length is
     gamma + 1 exactly when tau == gamma and gamma otherwise.
     """
-    h = naive_hsd_chain(trace).h
-    tau, events = backward_scan(h, rng)
-    emitted = list(trace.tokens[:tau])
-    if tau == trace.gamma:
-        emitted.append(_emit_bonus(trace.bonus_dist, trace.gamma + 1, rng, events))
-    else:
-        context = trace.prefix + trace.tokens[:tau]
-        for t in range(tau, trace.gamma):
-            residual = naive_branch_residual(p_model, q_model, context)
-            tok, u = _draw(residual, rng)
-            events.append(Event(t + 1, "resample", residual[tok], u))
-            emitted.append(tok)
-            context = context + (tok,)
-    return VerifyOutcome(tau, tuple(emitted), tuple(events))
+    return _single_draft_verify("naive-hsd", trace, rng, p_model, q_model)
 
 
 def capped_hsd_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutcome:
@@ -354,19 +384,7 @@ def capped_hsd_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutc
     residual draw all live on branches reachable from the drafted path.
     Emits the accepted prefix plus exactly one token (resampled or bonus).
     """
-    chain = ratio_chain(trace)
-    cums = joint_products(trace)
-    h = _capped_h_values(trace, chain, cums)
-    tau, events = backward_scan(h, rng)
-    emitted = list(trace.tokens[:tau])
-    if tau == trace.gamma:
-        emitted.append(_emit_bonus(trace.bonus_dist, trace.gamma + 1, rng, events))
-    else:
-        residual = capped_branch_residual(trace, chain, tau, cums)
-        tok, u = _draw(residual, rng)
-        events.append(Event(tau + 1, "resample", residual[tok], u))
-        emitted.append(tok)
-    return VerifyOutcome(tau, tuple(emitted), tuple(events))
+    return _single_draft_verify("capped-hsd", trace, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +437,7 @@ def multidraft_hsd_verify(traces: list[DraftTrace], rng: np.random.Generator) ->
                 tuple(p_dists),
                 tr.bonus_dist,
             )
-        chain = ratio_chain(sub)
-        cums = joint_products(sub)
-        h = _capped_h_values(sub, chain, cums)
+        h, residual = _capped_hsd_plan(sub)
         base = tau
         t_local, scan_events = backward_scan(h, rng)
         if base == 0:
@@ -435,9 +451,8 @@ def multidraft_hsd_verify(traces: list[DraftTrace], rng: np.random.Generator) ->
             emitted = list(accepted)
             emitted.append(_emit_bonus(tr.bonus_dist, gamma + 1, rng, events))
             return VerifyOutcome(tau, tuple(emitted), tuple(events))
-        override = capped_branch_residual(sub, chain, t_local, cums)
-    tok, u = _draw(override, rng)
-    events.append(Event(tau + 1, "resample", override[tok], u))
+        override = residual(t_local)
+    tok = _resample(override, tau + 1, rng, events)
     return VerifyOutcome(tau, tuple(accepted) + (tok,), tuple(events))
 
 
@@ -472,8 +487,7 @@ def multidraft_tokenwise_verify(traces: list[DraftTrace], rng: np.random.Generat
             events.append(Event(t + 1, "reject", h, u))
             p_cur = tokenwise_residual(p_cur, qd)
         if accepted_tok is None:
-            tok, u = _draw(p_cur, rng)
-            events.append(Event(t + 1, "resample", p_cur[tok], u))
+            tok = _resample(p_cur, t + 1, rng, events)
             return VerifyOutcome(t, accepted + (tok,), tuple(events))
         accepted = accepted + (accepted_tok,)
     emitted = list(accepted)

@@ -25,7 +25,7 @@ from specverify.divergence import (
     ratio_chain,
     unique_capping_indices,
 )
-from specverify.metrics import method_expected_tau
+from specverify.metrics import method_expected_tau, whole_draft_acceptance
 from specverify.models import ModelPairSpec, generate_model_pair, sample_draft, substream, trace_for
 from specverify.oracle import (
     enumerate_yield,
@@ -156,15 +156,18 @@ def exact_block_ordering(p, q, gamma, chain_builder=blockwise_acceptance_chain):
     }
 
 
-def exact_block_ordering_sweep(chain_builder=blockwise_acceptance_chain):
-    """``exact_block_ordering`` over 3 seeded pairs at each V, gamma in {2,3,4}, eps in {0.5,1}."""
+def exact_grid_pairs():
+    """Criterion 3's exact grid: 3 seeded ``(p, q, gamma)`` at each V, gamma in {2,3,4}, eps in {0.5,1}."""
     grid = [(v, g, e) for v in (2, 3, 4) for g in (2, 3, 4) for e in (0.5, 1.0)]
-    results = []
     for index, (vocab, gamma, eps) in enumerate(grid):
         for k in range(3):
             p, q = pair_for(34_000 + 10 * index + k, vocab=vocab, depth=gamma, eps=eps, conc=1.0)
-            results.append(exact_block_ordering(p, q, gamma, chain_builder))
-    return results
+            yield p, q, gamma
+
+
+def exact_block_ordering_sweep(chain_builder=blockwise_acceptance_chain):
+    """``exact_block_ordering`` over every pair of the exact grid."""
+    return [exact_block_ordering(p, q, gamma, chain_builder) for p, q, gamma in exact_grid_pairs()]
 
 
 def test_criterion_3_expected_length_ordering():
@@ -266,6 +269,54 @@ def test_criterion_3_exact_check_detects_corrupted_block_chains():
     }
     print(f"  criterion 3 exact check on corrupted chains: worst deviation {worst}")
     assert all(value > SURVIVAL_TOL for value in worst.values()), worst
+
+
+def block_residual(trace, t, clamp):
+    """Block verification's residual after a rejection at ``t``: ``∝ max(p_t p(x) - q(x), 0)``, or None."""
+    num = [max(clamp * px - qx, 0.0) for px, qx in zip(trace.p_dists[t], trace.q_dists[t])]
+    den = math.fsum(num)
+    return tuple(n / den for n in num) if den > 0.0 else None
+
+
+def test_capped_hsd_is_block_verification():
+    # docs/capped-hsd-is-block.md: over every draft of criterion 3's exact
+    # grid, capped-hsd's chain, residuals and whole-draft acceptance are
+    # block verification's
+    worst_chain = worst_residual = worst_whole = 0.0
+    compared = degenerate = unreachable_degenerate = 0
+    for p, q, gamma in exact_grid_pairs():
+        for tokens in product(range(p.vocab_size), repeat=gamma):
+            trace = trace_for(q, p, (), tokens)
+            h = capped_hsd_chain(trace).h
+            block_h = blockwise_acceptance_chain(trace).h
+            worst_chain = max(worst_chain, *(abs(a - b) for a, b in zip(h, block_h)))
+            whole = whole_draft_acceptance(trace)
+            worst_whole = max(worst_whole, abs(whole["ours"] - whole["block"]))
+            chain, cums = ratio_chain(trace), joint_products(trace)
+            clamps = (1.0,) + block_clamps(trace)
+            for t in range(gamma):
+                want = block_residual(trace, t, clamps[t])
+                try:
+                    got = capped_branch_residual(trace, chain, t, cums)
+                except ValueError:
+                    got = None
+                assert (got is None) == (want is None), (tokens, t, got, want)
+                if got is None:
+                    # a resample at t needs h_t > 0 (t > 0) and every later test rejected
+                    degenerate += 1
+                    unreachable_degenerate += (t > 0 and h[t - 1] == 0.0) or 1.0 in h[t:]
+                    continue
+                compared += 1
+                worst_residual = max(worst_residual, *(abs(a - b) for a, b in zip(got, want)))
+    print(
+        f"  capped-hsd = block: worst chain gap {worst_chain:.1e}, worst residual gap {worst_residual:.1e}"
+        f" over {compared} residuals ({degenerate} degenerate in both, {unreachable_degenerate} of them"
+        f" unreachable), worst whole-draft gap {worst_whole:.1e}"
+    )
+    assert worst_chain <= 1e-12
+    assert worst_residual <= 1e-12
+    assert unreachable_degenerate == degenerate
+    assert worst_whole <= 1e-12
 
 
 def test_criterion_4_reference_vectors():

@@ -2,14 +2,10 @@ import math
 
 import pytest
 
-from specverify.metrics import (
-    bench_expected_tau,
-    method_expected_tau,
-    sampled_tau,
-    whole_draft_acceptance,
-)
+from specverify.metrics import METHODS as METHOD_CHAINS
+from specverify.metrics import method_expected_tau, whole_draft_acceptance
 from specverify.models import ModelPairSpec, generate_model_pair, sample_draft, substream
-from specverify.verify import expected_accept_length, tokenwise_chain
+from specverify.verify import backward_scan, expected_accept_length, forward_scan, tokenwise_chain
 from specverify.worked_example import REFERENCE_P_COND, REFERENCE_Q_COND
 
 from test_verify import synthetic_trace
@@ -17,13 +13,13 @@ from test_verify import synthetic_trace
 METHODS = ("tokenwise", "blockwise", "hsd")
 
 
-def test_bench_reports_full_acceptance_for_identical_models(identical_pair):
+def test_identical_models_accept_every_draft_token(identical_pair):
     p, q = identical_pair
-    for method in METHODS:
-        result = bench_expected_tau(method, p, q, 3, 200, substream(71))
-        assert result.mean_expected_tau == pytest.approx(3.0, abs=1e-12)
-        assert result.mean_whole_draft_accept == pytest.approx(1.0, abs=1e-12)
-        assert result.mean_block_efficiency == pytest.approx(4.0, abs=1e-12)
+    for i in range(200):
+        trace = sample_draft(q, p, (), 3, substream(71, i))
+        for method in METHODS:
+            assert method_expected_tau(method, trace) == pytest.approx(3.0, abs=1e-12)
+        assert whole_draft_acceptance(trace) == pytest.approx(dict.fromkeys(("ideal", "token", "block", "ours"), 1.0), abs=1e-12)
 
 
 def test_all_methods_agree_at_single_token_drafts(small_pair):
@@ -75,13 +71,16 @@ def test_blockwise_trails_tokenwise_on_single_traces():
     assert e_tok > e_blk
 
 
-def test_sampled_tau_validates_the_analytic_formulas(small_pair):
+def test_scans_validate_the_analytic_formulas(small_pair):
     p, q = small_pair
     trace = sample_draft(q, p, (), 4, substream(74))
     n = 50_000
+    scans = {"token": forward_scan, "backward": backward_scan}
     for method in METHODS:
+        builder, mode = METHOD_CHAINS[method]
+        h = builder(trace).h
         rng = substream(75)
-        mean = sum(sampled_tau(method, trace, rng) for _ in range(n)) / n
+        mean = sum(scans[mode](h, rng)[0] for _ in range(n)) / n
         analytic = method_expected_tau(method, trace)
         assert abs(mean - analytic) <= 4.0 * math.sqrt(4.0**2 / n) + 0.01
 
@@ -122,20 +121,7 @@ def test_whole_draft_token_form_is_the_chain_product(small_pair):
     assert expected_accept_length(tokenwise_chain(trace), "token") >= prod
 
 
-def test_bench_validates_inputs(small_pair):
+def test_method_expected_tau_rejects_unknown_methods(small_pair):
     p, q = small_pair
-    with pytest.raises(ValueError):
-        bench_expected_tau("nonsense", p, q, 3, 10, substream(78))
-    with pytest.raises(ValueError):
-        bench_expected_tau("hsd", p, q, 3, 0, substream(78))
     with pytest.raises(ValueError):
         method_expected_tau("nonsense", sample_draft(q, p, (), 2, substream(79)))
-    with pytest.raises(ValueError):
-        sampled_tau("nonsense", sample_draft(q, p, (), 2, substream(79)), substream(79))
-
-
-def test_bench_results_are_reproducible(small_pair):
-    p, q = small_pair
-    a = bench_expected_tau("hsd", p, q, 3, 500, substream(80))
-    b = bench_expected_tau("hsd", p, q, 3, 500, substream(80))
-    assert a == b

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import math
+import struct
 from itertools import product
 
 import pytest
 
 from specverify import oracle
-from specverify.models import TableArModel
+from specverify.models import TableArModel, sample_draft, substream
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
     YieldDistribution,
@@ -12,6 +15,13 @@ from specverify.oracle import (
     monte_carlo_fit,
     target_joint_distribution,
     total_variation,
+)
+from specverify.verify import (
+    capped_hsd_verify,
+    multidraft_hsd_verify,
+    multidraft_tokenwise_verify,
+    naive_hsd_verify,
+    tokenwise_verify,
 )
 
 from conftest import pair_for, stray_tokenwise
@@ -153,14 +163,21 @@ def test_enumeration_catches_unclamped_acceptance():
     assert detected >= 1
 
 
-def test_mutation_validation(small_pair):
+def test_mutation_validation(small_pair, monkeypatch):
     p, q = small_pair
     with pytest.raises(ValueError):
         enumerate_yield("capped-hsd", p, q, 3, 3, mutate="nonsense")
     with pytest.raises(ValueError):
         enumerate_yield("tokenwise", p, q, 3, 3, mutate="unclamp")
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the mutation was validated")
+
+    monkeypatch.setattr(oracle, "_simulate_sequence", no_trial)
     with pytest.raises(ValueError):
         monte_carlo_fit("capped-hsd", p, q, 3, 3, 10_000, 1, mutate="unclamp")
+    with pytest.raises(ValueError):
+        monte_carlo_fit("capped-hsd", p, q, 3, 3, 10_000, 1, mutate="nonsense")
     with pytest.raises(ValueError):
         monte_carlo_fit("multidraft-hsd", p, q, 3, 3, 10_000, 1, k_drafts=2, mutate="h-double")
 
@@ -210,3 +227,41 @@ def test_target_joint_guard():
     model = TableArModel(12, 8, generator=lambda prefix: (1.0 / 12,) * 12)
     with pytest.raises(ValueError):
         target_joint_distribution(model, 8)
+
+
+def _verifier_outputs_digest() -> str:
+    """SHA-256 over exact yields, seeded verifier outcomes and Monte Carlo fit reports."""
+    digest = hashlib.sha256()
+    # every exact yield, healthy and mutated; the last config runs target
+    # continuations past the bonus token
+    runs = [(v, None) for v in SINGLE_DRAFT_VERIFIERS] + [(v, "h-double") for v in SINGLE_DRAFT_VERIFIERS]
+    runs.append(("capped-hsd", "unclamp"))
+    for seed, vocab, depth, gamma, length in ((0, 2, 3, 3, 3), (1, 3, 3, 3, 3), (2, 3, 2, 2, 2), (0, 3, 4, 2, 4)):
+        p, q = pair_for(seed, vocab=vocab, depth=depth, eps=1.0)
+        for verifier, mutate in runs:
+            yielded = enumerate_yield(verifier, p, q, gamma, length, mutate=mutate)
+            for seq in sorted(yielded.probs):
+                digest.update(bytes(seq) + struct.pack("<d", yielded.probs[seq]))
+    # tau, emitted tokens and the full event log of every verifier on seeded traces
+    p, q = pair_for(7, vocab=3, depth=4, eps=1.0)
+    for i in range(400):
+        traces = [sample_draft(q, p, (), 3, substream(95, i, k)) for k in range(3)]
+        outcomes = (
+            tokenwise_verify(traces[0], substream(96, i)),
+            naive_hsd_verify(traces[0], p, q, substream(96, i)),
+            capped_hsd_verify(traces[0], substream(96, i)),
+            multidraft_hsd_verify(traces, substream(96, i)),
+            multidraft_tokenwise_verify(traces, substream(96, i)),
+        )
+        for outcome in outcomes:
+            digest.update(repr((outcome.tau, outcome.emitted, outcome.events)).encode())
+    # whole fit reports, healthy and h-double, on a V=2 pair
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    for verifier, mutate in runs[:-1]:
+        report = monte_carlo_fit(verifier, p, q, 2, 2, 10_000, 97, mutate=mutate)
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_verifier_outputs_match_the_golden_digest():
+    assert _verifier_outputs_digest() == "7be23a52f14cda5e1da6d2abb0e83eb20fcc0fc5a0c7a4621faa06d828706267"
