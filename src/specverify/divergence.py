@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .models import Dist, DraftTrace, Sequence, TableArModel
+
+Cums = tuple[list[float], list[float]]  # joint_products(trace): target and draft joints along the draft
+_last_chain: list[tuple] = [(None, None)]  # (trace, chain) of the last ratio_chain build
 
 
 def generalized_divergence(p: Dist, q: Dist, subset: Iterable[int]) -> float:
@@ -147,10 +150,18 @@ def ratio_chain_from_conditionals(p_cond: Iterable[float], q_cond: Iterable[floa
 
 
 def ratio_chain(trace: DraftTrace) -> RatioChain:
-    """Ratio chain of a trace's drafted tokens."""
+    """Ratio chain of a trace's drafted tokens.
+
+    Memoised on the last trace by identity: exact, as a ``DraftTrace`` is immutable.
+    """
+    last = _last_chain[0]  # one read, so a concurrent store cannot mix two entries
+    if last[0] is trace:
+        return last[1]
     p_cond = [trace.p_dists[t][tok] for t, tok in enumerate(trace.tokens)]
     q_cond = [trace.q_dists[t][tok] for t, tok in enumerate(trace.tokens)]
-    return ratio_chain_from_conditionals(p_cond, q_cond)
+    chain = ratio_chain_from_conditionals(p_cond, q_cond)
+    _last_chain[0] = (trace, chain)
+    return chain
 
 
 def joint_products(trace: DraftTrace) -> tuple[list[float], list[float]]:
@@ -170,7 +181,7 @@ def capped_branch_masses(
     trace: DraftTrace,
     chain: RatioChain,
     t: int,
-    cums: tuple[list[float], list[float]] | None = None,
+    cums: Cums | None = None,
 ) -> tuple[list[float], list[float]]:
     """Capped hybrid mass and draft mass for each extension of the first ``t`` tokens.
 
@@ -193,26 +204,28 @@ def capped_branch_masses(
     return a, b
 
 
-@dataclass(frozen=True)
-class CappedBranchDivergences:
+class CappedBranchDivergences(NamedTuple):
     """Deficient/excess mass over a branch after capping the maximal prefix ratio."""
 
     dstar_pq: float
     dstar_qp: float
 
 
-def capped_branch_divergences(trace: DraftTrace, t: int) -> CappedBranchDivergences:
+def capped_branch_divergences(
+    trace: DraftTrace, t: int, chain: RatioChain | None = None, cums: Cums | None = None
+) -> CappedBranchDivergences:
     """Capped branch divergences at the branch of the first ``t`` drafted tokens.
 
     Computable from the trace alone: the capped ratio of every vocabulary
     extension reuses the accepted prefix's chain, which is the whole point of
-    the capping construction.
+    the capping construction.  Callers may pass ``chain`` and ``cums``.  Both
+    sums filter one gap list ``a - b``: ``fsum`` is correctly rounded (numpy's
+    sum is not), so zeros and order do not matter, and they equal, bit for bit,
+    ``fsum(max(a - b, 0))`` and, as ``b - a == -(a - b)``, ``fsum(max(b - a, 0))``.
     """
-    chain = ratio_chain(trace)
-    a, b = capped_branch_masses(trace, chain, t)
-    dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
-    dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
-    return CappedBranchDivergences(dstar_pq, dstar_qp)
+    a, b = capped_branch_masses(trace, chain if chain is not None else ratio_chain(trace), t, cums)
+    d = [ai - bi for ai, bi in zip(a, b)]
+    return CappedBranchDivergences(math.fsum([x for x in d if x > 0.0]), math.fsum([-x for x in d if x < 0.0]))
 
 
 def unique_capping_indices(chain: RatioChain) -> tuple[int, ...]:

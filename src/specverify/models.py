@@ -182,8 +182,8 @@ class TableArModel:
     def _check_dist(self, prefix: Sequence, dist: Dist) -> Dist:
         if len(dist) != self.vocab_size:
             raise ValueError(f"distribution for prefix {prefix} has length {len(dist)}, expected {self.vocab_size}")
-        if any(w < 0.0 for w in dist):
-            raise ValueError(f"negative probability in distribution for prefix {prefix}")
+        if not all(w >= 0.0 for w in dist):  # NaN fails too, so no NaN gap reaches a branch sum
+            raise ValueError(f"negative or NaN probability in distribution for prefix {prefix}")
         if abs(math.fsum(dist) - 1.0) > 1e-12:
             raise ValueError(f"distribution for prefix {prefix} sums to {math.fsum(dist)!r}, not 1")
         return dist

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .divergence import joint_products, ratio_chain
-from .models import Sequence, TableArModel, sample_draft, sample_index, substream, trace_for
+from .models import MAX_SERIALIZABLE_PREFIXES, Sequence, TableArModel, sample_draft, sample_index, substream, trace_for
 from .verify import (
     SINGLE_DRAFT,
     capped_hsd_verify,
@@ -286,8 +286,8 @@ def _simulate_sequence(
 
 
 def _mc_chunk(payload: dict) -> Counter:
-    p_model = TableArModel(payload["vocab_size"], payload["depth"], table=payload["p_table"])
-    q_model = TableArModel(payload["vocab_size"], payload["depth"], table=payload["q_table"])
+    p_model = TableArModel(payload["vocab_size"], payload["p_depth"], table=payload["p_table"])
+    q_model = TableArModel(payload["vocab_size"], payload["q_depth"], table=payload["q_table"])
     counts: Counter = Counter()
     for trial in range(payload["start"], payload["stop"]):
         rng = substream(payload["seed"], trial)
@@ -343,6 +343,8 @@ def monte_carlo_fit(
     _check_mutation(verifier, mutate, enumerated=False)
 
     if workers > 1:
+        if max(p_model.n_prefixes(), q_model.n_prefixes()) > MAX_SERIALIZABLE_PREFIXES:
+            raise ValueError(f"workers > 1 ship every prefix, over {MAX_SERIALIZABLE_PREFIXES} here; use workers=1")
         payloads = []
         bounds = [round(i * trials / workers) for i in range(workers + 1)]
         p_table = {prefix: p_model.conditional(prefix) for prefix in p_model.prefixes()}
@@ -351,7 +353,8 @@ def monte_carlo_fit(
             payloads.append(
                 {
                     "vocab_size": p_model.vocab_size,
-                    "depth": p_model.max_depth,
+                    "p_depth": p_model.max_depth,
+                    "q_depth": q_model.max_depth,
                     "p_table": p_table,
                     "q_table": q_table,
                     "verifier": verifier,

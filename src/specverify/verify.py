@@ -11,7 +11,9 @@ multi-draft variants layer recursive rejection sampling with replacement on
 top of the tokenwise and capped verifiers.
 
 Every verifier consumes one uniform per decision, drawn in scan order, so a
-trajectory can be replayed from its event log.
+trajectory can be replayed from its event log.  The capped-branch and block
+sums ``fsum`` filtered gap lists: bit for bit the sums of ``max(gap, 0)``, for
+the reason :func:`specverify.divergence.capped_branch_divergences` gives.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
+    Cums,
     RatioChain,
+    capped_branch_divergences,
     capped_branch_masses,
     joint_products,
     ratio_chain,
@@ -33,8 +37,6 @@ from .divergence import (
 from .models import Dist, DraftTrace, Sequence, TableArModel, index_from_uniform
 
 logger = logging.getLogger(__name__)
-
-Cums = tuple[list[float], list[float]]  # joint_products(trace): target and draft joints along the draft
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,9 +206,7 @@ def _capped_ratios(trace: DraftTrace, chain: RatioChain, cums: Cums) -> tuple[fl
     """The capped acceptance ratios before their clamp to 1."""
     h = []
     for t in range(1, trace.gamma):
-        a, b = capped_branch_masses(trace, chain, t, cums)
-        dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
-        dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
+        dstar_pq, dstar_qp = capped_branch_divergences(trace, t, chain, cums)
         if dstar_qp <= 0.0 < dstar_pq:
             logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, dstar_pq)
         h.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
@@ -253,9 +253,7 @@ def blockwise_acceptance_chain(trace: DraftTrace) -> AcceptanceChain:
             h.append(clamp[gamma])
             break
         pt = clamp[t]
-        num = math.fsum(
-            max(pt * px - qx, 0.0) for px, qx in zip(trace.p_dists[t], trace.q_dists[t])
-        )
+        num = math.fsum([g for px, qx in zip(trace.p_dists[t], trace.q_dists[t]) if (g := pt * px - qx) > 0.0])
         den = num + (1.0 - pt)
         h.append(1.0 if den <= 0.0 else num / den)
     return AcceptanceChain("blockwise", tuple(h))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from specverify import oracle
@@ -172,6 +173,18 @@ def test_bench_bytes_are_worker_count_independent(tmp_path, capsys):
     code_b = run(args + ["--out", str(b), "--workers", "4"], capsys)[0]
     assert code_a == code_b
     assert a.read_bytes() == b.read_bytes()
+
+
+BENCH_REPORT_SHA256 = "5e8ca56cab92aa25c1a6a0e46ad638eecb879b55714128d5c8c01e81f78e518f"
+
+
+def test_bench_report_bytes_match_the_golden_digest(tmp_path, capsys):
+    # pins every byte of a small JSON report, so speeding up the chains,
+    # sums or ratio-chain reuse behind bench cannot move a single result
+    out_path = tmp_path / "bench.json"
+    args = ["bench", "--vocab", "8", "--gamma", "3,5", "--eps", "0.5,1.0", "--trials", "300", "--seed", "5"]
+    assert run(args + ["--format", "json", "--out", str(out_path)], capsys)[0] == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == BENCH_REPORT_SHA256
 
 
 def test_bench_repeated_runs_are_byte_identical(tmp_path, capsys):

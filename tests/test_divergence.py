@@ -15,7 +15,7 @@ from specverify.divergence import (
     ratio_chain_from_conditionals,
     unique_capping_indices,
 )
-from specverify.models import sample_draft, substream
+from specverify.models import DraftTrace, sample_draft, substream
 from specverify.worked_example import (
     REFERENCE_CLAMPED_RSTAR,
     REFERENCE_M,
@@ -189,6 +189,35 @@ def test_ratio_chain_rejects_zero_draft_probability():
 def test_ratio_chain_rejects_empty_trace():
     with pytest.raises(ValueError):
         ratio_chain_from_conditionals((), ())
+
+
+def test_ratio_chain_is_built_once_per_trace_object(small_pair):
+    p, q = small_pair
+    trace = sample_draft(q, p, (), 3, substream(27))
+    chain = ratio_chain(trace)
+    assert ratio_chain(trace) is chain
+    # an equal but distinct trace gets a fresh chain with the same values
+    twin = DraftTrace(trace.prefix, trace.tokens, trace.q_dists, trace.p_dists, trace.bonus_dist)
+    twin_chain = ratio_chain(twin)
+    assert twin == trace and twin_chain is not chain and twin_chain == chain
+    p_cond = [trace.p_dists[t][tok] for t, tok in enumerate(trace.tokens)]
+    q_cond = [trace.q_dists[t][tok] for t, tok in enumerate(trace.tokens)]
+    assert chain == ratio_chain_from_conditionals(p_cond, q_cond)
+
+
+def test_ratio_chain_of_an_undraftable_trace_raises_every_time(small_pair):
+    p, q = small_pair
+    good = sample_draft(q, p, (), 2, substream(28))
+    chain = ratio_chain(good)
+    bad = DraftTrace((), (0, 1), ((0.5, 0.5), (0.5, 0.0)), ((0.5, 0.5), (0.5, 0.5)), None)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ratio_chain(bad)
+    assert ratio_chain(good) is chain
+    other = sample_draft(q, p, (), 3, substream(29))
+    p_cond = [other.p_dists[t][tok] for t, tok in enumerate(other.tokens)]
+    q_cond = [other.q_dists[t][tok] for t, tok in enumerate(other.tokens)]
+    assert ratio_chain(other) == ratio_chain_from_conditionals(p_cond, q_cond)
 
 
 def test_capping_index_structure():

@@ -201,6 +201,10 @@ def test_explicit_table_validation():
     with pytest.raises(ValueError):
         TableArModel(2, 1, table={(): (1.1, -0.1)})
     with pytest.raises(ValueError):
+        TableArModel(2, 1, table={(): (float("nan"), 1.0)})
+    with pytest.raises(ValueError):
+        TableArModel(2, 1, generator=lambda prefix: (1.0, float("nan"))).conditional(())
+    with pytest.raises(ValueError):
         TableArModel(2, 1)
 
 

@@ -187,6 +187,23 @@ def test_monte_carlo_is_worker_count_independent(small_pair):
     serial = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 21, workers=1)
     parallel = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 21, workers=3)
     assert serial == parallel
+    # a draft model deeper than the target is shipped at its own depth
+    deep_q = pair_for(101, vocab=3, depth=5, eps=0.8, conc=1.2)[1]
+    assert monte_carlo_fit("capped-hsd", p, deep_q, 2, 2, 10_000, 21, workers=2) == serial
+
+
+def test_monte_carlo_workers_refuse_models_too_large_to_ship(monkeypatch):
+    p, q = pair_for(7, vocab=32, depth=8)  # 3.5e10 prefixes per model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tables were built or a worker pool was started")
+
+    # without the guard the test fails here instead of filling memory
+    monkeypatch.setattr(TableArModel, "prefixes", refuse)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ValueError, match="prefix"):
+        monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 1, workers=2)
+    assert not p._table and not q._table
 
 
 def test_monte_carlo_multidraft_small_run():

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
-from specverify.divergence import ratio_chain
+from specverify.divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
 from specverify.models import DraftTrace, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
     AcceptanceChain,
+    _capped_ratios,
     backward_scan,
     blockwise_acceptance_chain,
     capped_hsd_chain,
@@ -104,6 +105,64 @@ def test_blockwise_clamp_follows_the_two_step_example():
     h = blockwise_acceptance_chain(trace).h
     # final entry is the clamp value itself: min{1, 0.25, 0.5} = 0.25
     assert h[-1] == pytest.approx(0.25, abs=1e-15)
+
+
+def definitional_capped_ratios(trace):
+    """Capped acceptance ratios before the clamp, summed as ``fsum(max(gap, 0))``."""
+    chain = ratio_chain(trace)
+    ratios = []
+    for t in range(1, trace.gamma):
+        a, b = capped_branch_masses(trace, chain, t)
+        dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
+        dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
+        ratios.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
+    return (*ratios, chain.rstar[-1])
+
+
+def definitional_blockwise_h(trace):
+    """Blockwise acceptance chain with its per-position sum as ``fsum(max(gap, 0))``."""
+    clamp = [1.0]
+    for cr in ratio_chain(trace).cond_r:
+        clamp.append(min(clamp[-1] * cr, 1.0))
+    h = []
+    for t in range(1, trace.gamma):
+        pt = clamp[t]
+        num = math.fsum(max(pt * px - qx, 0.0) for px, qx in zip(trace.p_dists[t], trace.q_dists[t]))
+        den = num + (1.0 - pt)
+        h.append(1.0 if den <= 0.0 else num / den)
+    return (*h, clamp[-1])
+
+
+def exact_sum_traces():
+    for seed in range(60):
+        vocab, gamma = (2, 3, 8, 32)[seed % 4], 2 + seed % 7
+        eps = 0.0 if seed % 5 == 0 else (0.1, 0.5, 1.0, 2.0)[seed % 4]  # every fifth pair: identical models
+        p, q = pair_for(seed, vocab=vocab, depth=gamma, eps=eps)
+        yield sample_draft(q, p, (), gamma, substream(41, seed))
+    # a zero target conditional on the drafted path sends the joint ratio to 0
+    yield DraftTrace(
+        (),
+        (1, 0, 2),
+        ((0.2, 0.5, 0.3), (0.6, 0.1, 0.3), (0.3, 0.3, 0.4)),
+        ((0.3, 0.4, 0.3), (0.0, 0.7, 0.3), (0.0, 0.2, 0.8)),
+        (0.5, 0.25, 0.25),
+    )
+
+
+def test_one_pass_sums_equal_the_definitional_sums_bit_for_bit():
+    saw_all_zero_gaps = False
+    for trace in exact_sum_traces():
+        chain, cums = ratio_chain(trace), joint_products(trace)
+        for t in range(trace.gamma):
+            a, b = capped_branch_masses(trace, chain, t)
+            saw_all_zero_gaps |= a == b
+            d = capped_branch_divergences(trace, t, chain, cums)
+            assert d == capped_branch_divergences(trace, t)
+            assert d.dstar_pq == math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
+            assert d.dstar_qp == math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
+        assert _capped_ratios(trace, chain, cums) == definitional_capped_ratios(trace)
+        assert blockwise_acceptance_chain(trace).h == definitional_blockwise_h(trace)
+    assert saw_all_zero_gaps
 
 
 def test_blockwise_recursion_matches_suffix_minimum():
