@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import method_expected_tau, whole_draft_acceptance
-from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, substream
+from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, stream_run, substream
 from .oracle import (
     MULTI_DRAFT_VERIFIERS,
     MUTATIONS,
@@ -253,7 +253,7 @@ def _bench_config_job(payload: dict) -> dict:
     block_below_token = 0  # allowed per trace: the ordering holds over drafts
     strict_branch_block = 0
     strict_block_token = 0
-    for draft_index in range(n):
+    for draft_index in stream_run(payload["master_seed"], range(n), head=(payload["index"],)):
         rng = substream(payload["master_seed"], payload["index"], draft_index)
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         e_tok = method_expected_tau("tokenwise", trace)

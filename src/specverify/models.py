@@ -43,16 +43,14 @@ MAX_SERIALIZABLE_PREFIXES = 200_000
 _STATE_HASH = tuple(
     (0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED ** (i + 1) & _MASK32) for i in range(8)
 )
+_BLOCK = 1024  # a stream_run derives this many seed states at a time
+_stored: dict[tuple[int, ...], np.ndarray] = {}  # (master_seed, *keys) -> state, for each run's current block
 
 
-def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndarray:
-    """``SeedSequence((master_seed & 2**64 - 1, *keys)).generate_state(n_words, np.uint64)``.
-
-    Each key is split into little-endian uint32 words here, as numpy does,
-    and only the mixing of those words into the pool is left to numpy.
-    """
+def _key_words(keys: tuple[int, ...]) -> list[int]:
+    """Split each key into little-endian uint32 words, as numpy's SeedSequence does."""
     words = []
-    for key in (master_seed & _SEED_MASK, *keys):
+    for key in keys:
         if key < 0:
             # numpy's SeedSequence rejects negative entropy the same way
             raise ValueError(f"stream keys must be non-negative, got {key}")
@@ -60,6 +58,16 @@ def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndar
             words.append(key & _MASK32)
             key >>= 32
         words.append(key)
+    return words
+
+
+def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndarray:
+    """``SeedSequence((master_seed & 2**64 - 1, *keys)).generate_state(n_words, np.uint64)``.
+
+    The keys are split into uint32 words here, and only the mixing of those
+    words into the pool is left to numpy.
+    """
+    words = _key_words((master_seed & _SEED_MASK, *keys))
     pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
     state = []
     for i, (xor, mult) in enumerate(_STATE_HASH[: 2 * n_words]):
@@ -68,6 +76,65 @@ def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndar
         state.append(word ^ word >> 16)
     # numpy views its uint32 output as uint64 the same way
     return np.array(state, dtype=np.uint32).view(np.uint64)
+
+
+def _lane_states(master_seed: int, head: tuple[int, ...], lanes: list[int]) -> np.ndarray:
+    """Row j is ``seed_state(master_seed, (*head, lanes[j]), 4)``, for lanes below 2**32.
+
+    numpy's SeedSequence mixes its words by uint32 hash-and-mix steps whose
+    constants do not depend on the entropy, and uint32 arrays wrap mod 2**32
+    as its C code does, so the steps run once over all lanes.
+    """
+    n = len(lanes)
+    entropy = [np.full(n, w, np.uint32) for w in _key_words((master_seed & _SEED_MASK, *head))]
+    entropy.append(np.array(lanes, np.uint32))
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))  # the hash runs out over zeros
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * 0xCA01F9DD - y * 0x4973F715
+        return value ^ value >> 16
+
+    # fill the pool of 4 words, mix each into the others, then mix in the rest
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n, 8), np.uint32)
+    for i, (xor, mult) in enumerate(_STATE_HASH):
+        word = (pool[i & 3] ^ xor) * mult
+        state[:, i] = word ^ word >> 16
+    return state.view(np.uint64)
+
+
+def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[int]:
+    """Yield ``trials`` while :func:`substream` finds ``(master_seed, *head, i)``'s seed state ready.
+
+    The states are derived a block at a time, bit-identical to :func:`seed_state`,
+    and dropped when the loop leaves the block, also on an exception.  Keys
+    outside ``[0, 2**32)`` are left to the scalar path.
+    """
+    for j in range(0, len(trials), _BLOCK):
+        block = trials[j : j + _BLOCK]
+        lanes = [i for i in block if 0 <= i <= _MASK32]
+        keys = [(master_seed, *head, i) for i in lanes]
+        _stored.update(zip(keys, _lane_states(master_seed, head, lanes)))
+        try:
+            yield from block
+        finally:
+            for key in keys:
+                _stored.pop(key, None)
 
 
 class _FixedSeedState(ISeedSequence):
@@ -87,12 +154,16 @@ def substream(master_seed: int, *keys: int) -> np.random.Generator:
     derivation is deterministic, so trials can run concurrently or in any
     order without sharing generator state.  The stream equals
     ``np.random.default_rng(np.random.SeedSequence((master_seed & 2**64 - 1, *keys)))``
-    bit for bit, and negative keys raise ``ValueError`` as there.  Unlike
-    that generator, the returned one's ``bit_generator.seed_seq`` cannot
-    ``spawn``.
+    bit for bit, and negative keys raise ``ValueError`` as there.  A declared
+    :func:`stream_run` derives its streams' seed states in blocks, also bit
+    for bit.  Unlike numpy's generator, the returned one's
+    ``bit_generator.seed_seq`` cannot ``spawn``.
     """
+    state = _stored.get((master_seed, *keys)) if _stored else None
+    if state is None:
+        state = seed_state(master_seed, keys, 4)
     # PCG64 seeds itself from generate_state(4, np.uint64)
-    return np.random.Generator(np.random.PCG64(_FixedSeedState(seed_state(master_seed, keys, 4))))
+    return np.random.Generator(np.random.PCG64(_FixedSeedState(state)))
 
 
 def index_from_uniform(dist: Dist, u: float) -> int:
@@ -177,7 +248,8 @@ class TableArModel:
         self._generator = generator
         if table:
             for prefix, dist in table.items():
-                self._table[tuple(prefix)] = self._check_dist(tuple(prefix), tuple(dist))
+                prefix = self._check_prefix(prefix, max_depth - 1)
+                self._table[prefix] = self._check_dist(prefix, tuple(dist))
 
     def _check_dist(self, prefix: Sequence, dist: Dist) -> Dist:
         if len(dist) != self.vocab_size:

@@ -30,7 +30,8 @@ from itertools import product
 import numpy as np
 
 from .divergence import joint_products, ratio_chain
-from .models import MAX_SERIALIZABLE_PREFIXES, Sequence, TableArModel, sample_draft, sample_index, substream, trace_for
+from .models import MAX_SERIALIZABLE_PREFIXES, Sequence, TableArModel, sample_draft, sample_index, trace_for
+from .models import stream_run, substream
 from .verify import (
     SINGLE_DRAFT,
     capped_hsd_verify,
@@ -253,14 +254,14 @@ class FitReport:
 
 
 def _simulate_sequence(
-    verifier: str,
     p_model: TableArModel,
     q_model: TableArModel,
+    verifier: str,
     gamma: int,
     length: int,
     k_drafts: int,
-    rng: np.random.Generator,
     mutate: str | None,
+    rng: np.random.Generator,
 ) -> Sequence:
     """One end-to-end generation: draft, verify, continue from the target."""
     if verifier in SINGLE_DRAFT_VERIFIERS:
@@ -285,25 +286,17 @@ def _simulate_sequence(
     return seq
 
 
-def _mc_chunk(payload: dict) -> Counter:
-    p_model = TableArModel(payload["vocab_size"], payload["p_depth"], table=payload["p_table"])
-    q_model = TableArModel(payload["vocab_size"], payload["q_depth"], table=payload["q_table"])
+def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, master_seed: int, *run) -> Counter:
+    """Tally the sequences ``trials`` generate; ``run`` is ``(verifier, gamma, length, k_drafts, mutate)``."""
     counts: Counter = Counter()
-    for trial in range(payload["start"], payload["stop"]):
-        rng = substream(payload["seed"], trial)
-        counts[
-            _simulate_sequence(
-                payload["verifier"],
-                p_model,
-                q_model,
-                payload["gamma"],
-                payload["length"],
-                payload["k_drafts"],
-                rng,
-                payload["mutate"],
-            )
-        ] += 1
+    for trial in stream_run(master_seed, trials):
+        counts[_simulate_sequence(p_model, q_model, *run, substream(master_seed, trial))] += 1
     return counts
+
+
+def _mc_chunk(payload: tuple) -> Counter:
+    models, *args = payload
+    return _trial_counts(*(TableArModel(*model) for model in models), *args)
 
 
 def monte_carlo_fit(
@@ -342,40 +335,20 @@ def monte_carlo_fit(
         raise ValueError(f"models of depth {depth} cannot run gamma={gamma} with continuations to {length}")
     _check_mutation(verifier, mutate, enumerated=False)
 
+    run = (master_seed, verifier, gamma, length, k_drafts, mutate)
     if workers > 1:
         if max(p_model.n_prefixes(), q_model.n_prefixes()) > MAX_SERIALIZABLE_PREFIXES:
             raise ValueError(f"workers > 1 ship every prefix, over {MAX_SERIALIZABLE_PREFIXES} here; use workers=1")
-        payloads = []
         bounds = [round(i * trials / workers) for i in range(workers + 1)]
-        p_table = {prefix: p_model.conditional(prefix) for prefix in p_model.prefixes()}
-        q_table = {prefix: q_model.conditional(prefix) for prefix in q_model.prefixes()}
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            payloads.append(
-                {
-                    "vocab_size": p_model.vocab_size,
-                    "p_depth": p_model.max_depth,
-                    "q_depth": q_model.max_depth,
-                    "p_table": p_table,
-                    "q_table": q_table,
-                    "verifier": verifier,
-                    "gamma": gamma,
-                    "length": length,
-                    "k_drafts": k_drafts,
-                    "mutate": mutate,
-                    "seed": master_seed,
-                    "start": start,
-                    "stop": stop,
-                }
-            )
+        # (vocab, depth, every prefix's conditional) of p, then of q
+        models = [(m.vocab_size, m.max_depth, {s: m.conditional(s) for s in m.prefixes()}) for m in (p_model, q_model)]
+        payloads = [(models, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
         counts: Counter = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_mc_chunk, payloads):
                 counts.update(chunk)
     else:
-        counts = Counter()
-        for trial in range(trials):
-            rng = substream(master_seed, trial)
-            counts[_simulate_sequence(verifier, p_model, q_model, gamma, length, k_drafts, rng, mutate)] += 1
+        counts = _trial_counts(p_model, q_model, range(trials), *run)
 
     expected = target_joint_distribution(p_model, length)
     z_bound = 4.0

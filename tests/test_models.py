@@ -6,7 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specverify import models
 from specverify.cli import derive_seed
 from specverify.models import (
     DraftTrace,
@@ -14,6 +17,8 @@ from specverify.models import (
     TableArModel,
     generate_model_pair,
     sample_draft,
+    seed_state,
+    stream_run,
     substream,
     trace_for,
 )
@@ -206,6 +211,11 @@ def test_explicit_table_validation():
         TableArModel(2, 1, generator=lambda prefix: (1.0, float("nan"))).conditional(())
     with pytest.raises(ValueError):
         TableArModel(2, 1)
+    # keys are checked too: too long for the depth, or a token out of range
+    with pytest.raises(ValueError):
+        TableArModel(2, 1, table={(): (0.5, 0.5), (0,): (0.5, 0.5), (7, 7): (0.5, 0.5)})
+    with pytest.raises(ValueError):
+        TableArModel(2, 2, table={(): (0.5, 0.5), (2,): (0.5, 0.5)})
 
 
 def test_draft_trace_is_immutable(small_pair):
@@ -249,6 +259,63 @@ def test_substream_rejects_negative_keys_like_numpy(keys):
         substream(7, *keys)
     with pytest.raises(ValueError):
         derive_seed(7, *keys)
+
+
+def _check_stream_run(master, trials, head=()):
+    """Walk a declared run: each block row is seed_state's, each stream numpy's."""
+    visited = []
+    for i in stream_run(master, trials, head):
+        assert len(models._stored) <= 1024
+        stored = models._stored.get((master, *head, i))
+        if 0 <= i < 2**32:
+            assert stored.tolist() == seed_state(master, (*head, i), 4).tolist(), (master, head, i)
+        else:
+            assert stored is None  # wider keys take the scalar path
+        ours, ref = substream(master, *head, i), _numpy_stream(master, *head, i)
+        assert ours.bit_generator.state == ref.bit_generator.state, (master, head, i)
+        assert ours.random(2).tolist() == ref.random(2).tolist()
+        visited.append(i)
+    assert visited == list(trials)
+    assert not models._stored
+
+
+BLOCK_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -1, 2**70 + 3]
+
+
+@pytest.mark.parametrize("head", [(), (5,), (2**40, 0)])
+@pytest.mark.parametrize("master", BLOCK_MASTERS + [int(m) for m in np.random.default_rng(8).integers(0, 2**63, 3)])
+def test_stream_run_blocks_are_bit_identical(master, head):
+    for trials in (
+        range(0),
+        range(9, 9),
+        range(1026),  # two blocks
+        range(1023, 1026),
+        range(2**32 - 3, 2**32),  # ends at the last one-word key
+        range(2**32 - 2, 2**32 + 2),
+    ):
+        _check_stream_run(master, trials, head)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    master=st.integers(-(2**72), 2**72),
+    start=st.integers(0, 2**32 + 2),
+    size=st.integers(0, 1100),
+    head=st.lists(st.integers(0, 2**66), max_size=3),
+)
+def test_stream_run_matches_numpy_for_any_master_and_range(master, start, size, head):
+    _check_stream_run(master, range(start, start + size), tuple(head))
+
+
+def test_a_stored_state_answers_only_its_own_key_tuple():
+    master = 2026
+    for head in ((), (3,)):
+        for i in stream_run(master, range(4), head):
+            for keys in ((*head, i), (*head, i, 0), (i,), (i, 0)):
+                for m in (master, master + 1):
+                    ours, ref = substream(m, *keys), _numpy_stream(m, *keys)
+                    assert ours.bit_generator.state == ref.bit_generator.state, (m, keys)
+        assert not models._stored
 
 
 def _model_outputs_digest() -> str:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from specverify import oracle
+from specverify import models, oracle
 from specverify.models import TableArModel, sample_draft, substream
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
@@ -190,6 +190,38 @@ def test_monte_carlo_is_worker_count_independent(small_pair):
     # a draft model deeper than the target is shipped at its own depth
     deep_q = pair_for(101, vocab=3, depth=5, eps=0.8, conc=1.2)[1]
     assert monte_carlo_fit("capped-hsd", p, deep_q, 2, 2, 10_000, 21, workers=2) == serial
+
+
+def test_monte_carlo_derives_one_substream_per_trial_from_one_block_at_a_time(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    calls = []
+
+    def counted(*keys):
+        calls.append(keys)
+        assert len(models._stored) <= 1024
+        return substream(*keys)
+
+    monkeypatch.setattr(oracle, "substream", counted)
+    monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
+    assert calls == [(17, trial) for trial in range(10_000)]
+    assert not models._stored
+
+
+def test_a_fit_that_raises_leaves_no_stored_state(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    simulate, trials = oracle._simulate_sequence, []
+
+    def fails_at_1500(*args):
+        trials.append(len(models._stored))
+        if len(trials) > 1_500:
+            raise RuntimeError("trial 1,500 failed")
+        return simulate(*args)
+
+    monkeypatch.setattr(oracle, "_simulate_sequence", fails_at_1500)
+    with pytest.raises(RuntimeError, match="1,500"):
+        monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
+    assert len(trials) == 1_501 and max(trials) == 1024
+    assert not models._stored
 
 
 def test_monte_carlo_workers_refuse_models_too_large_to_ship(monkeypatch):
