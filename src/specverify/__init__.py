@@ -38,7 +38,6 @@ from .oracle import (
     total_variation,
 )
 from .verify import (
-    AcceptanceChain,
     Event,
     VerifyOutcome,
     blockwise_acceptance_chain,
@@ -57,7 +56,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceChain",
     "BranchDivergences",
     "CappedBranchDivergences",
     "Dist",

@@ -5,6 +5,11 @@ and excess mass between target and draft (per token, per branch, and per
 branch with the maximal prefix ratio capped), plus the per-position ratio
 chain that drives the verifiers.  Branch sums use ``math.fsum`` throughout,
 so accumulation order never affects results.
+
+Everything here that reads a trace is a function of the trace alone.
+:func:`ratio_chain` and :func:`joint_products` each keep their last result,
+so a repeat call with the very same trace object is free and returns the
+same immutable value: exact, as a ``DraftTrace`` is immutable.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from typing import Iterable, NamedTuple
 
 from .models import Dist, DraftTrace, Sequence, TableArModel
 
-Cums = tuple[list[float], list[float]]  # joint_products(trace): target and draft joints along the draft
 _last_chain: list[tuple] = [(None, None)]  # (trace, chain) of the last ratio_chain build
+_last_cums: list[tuple] = [(None, None)]  # (trace, (p_cum, q_cum)) of the last joint_products build
 
 
 def generalized_divergence(p: Dist, q: Dist, subset: Iterable[int]) -> float:
@@ -150,10 +155,7 @@ def ratio_chain_from_conditionals(p_cond: Iterable[float], q_cond: Iterable[floa
 
 
 def ratio_chain(trace: DraftTrace) -> RatioChain:
-    """Ratio chain of a trace's drafted tokens.
-
-    Memoised on the last trace by identity: exact, as a ``DraftTrace`` is immutable.
-    """
+    """Ratio chain of a trace's drafted tokens (memoised on the last trace)."""
     last = _last_chain[0]  # one read, so a concurrent store cannot mix two entries
     if last[0] is trace:
         return last[1]
@@ -164,38 +166,37 @@ def ratio_chain(trace: DraftTrace) -> RatioChain:
     return chain
 
 
-def joint_products(trace: DraftTrace) -> tuple[list[float], list[float]]:
-    """Cumulative target/draft joints along the drafted block.
+def joint_products(trace: DraftTrace) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Cumulative target/draft joints along the drafted block (memoised on the last trace).
 
     Returns ``(p_cum, q_cum)`` with ``p_cum[t]`` the target joint of the
     first ``t`` drafted tokens given the trace prefix (``p_cum[0] == 1``).
     """
+    last = _last_cums[0]
+    if last[0] is trace:
+        return last[1]
     p_cum, q_cum = [1.0], [1.0]
     for t, tok in enumerate(trace.tokens):
         p_cum.append(p_cum[-1] * trace.p_dists[t][tok])
         q_cum.append(q_cum[-1] * trace.q_dists[t][tok])
-    return p_cum, q_cum
+    cums = (tuple(p_cum), tuple(q_cum))
+    _last_cums[0] = (trace, cums)
+    return cums
 
 
-def capped_branch_masses(
-    trace: DraftTrace,
-    chain: RatioChain,
-    t: int,
-    cums: Cums | None = None,
-) -> tuple[list[float], list[float]]:
+def capped_branch_masses(trace: DraftTrace, t: int) -> tuple[list[float], list[float]]:
     """Capped hybrid mass and draft mass for each extension of the first ``t`` tokens.
 
     For extension token x at position ``t + 1`` the capped prefix ratio uses
     the branch's shared maximal-prefix index, so its mass factors as
     ``q(X_{1:m}) * p(X_{m+1:t}) * p(x | X_{1:t})`` against the plain draft
     joint ``q(X_{1:t}) * q(x | X_{1:t})``.  This form stays finite when the
-    draft assigns an extension zero probability.  ``cums`` lets callers in a
-    scan loop reuse one :func:`joint_products` result.
+    draft assigns an extension zero probability.
     """
     if not 0 <= t < trace.gamma:
         raise ValueError(f"branch position {t} outside [0, {trace.gamma})")
-    mb = chain.m[t]  # maximal-prefix index shared by all (t+1)-length extensions
-    p_cum, q_cum = cums if cums is not None else joint_products(trace)
+    mb = ratio_chain(trace).m[t]  # maximal-prefix index shared by all (t+1)-length extensions
+    p_cum, q_cum = joint_products(trace)
     hybrid = q_cum[mb] * (p_cum[t] / p_cum[mb])
     base_q = q_cum[t]
     p_next, q_next = trace.p_dists[t], trace.q_dists[t]
@@ -211,19 +212,17 @@ class CappedBranchDivergences(NamedTuple):
     dstar_qp: float
 
 
-def capped_branch_divergences(
-    trace: DraftTrace, t: int, chain: RatioChain | None = None, cums: Cums | None = None
-) -> CappedBranchDivergences:
+def capped_branch_divergences(trace: DraftTrace, t: int) -> CappedBranchDivergences:
     """Capped branch divergences at the branch of the first ``t`` drafted tokens.
 
     Computable from the trace alone: the capped ratio of every vocabulary
     extension reuses the accepted prefix's chain, which is the whole point of
-    the capping construction.  Callers may pass ``chain`` and ``cums``.  Both
-    sums filter one gap list ``a - b``: ``fsum`` is correctly rounded (numpy's
-    sum is not), so zeros and order do not matter, and they equal, bit for bit,
-    ``fsum(max(a - b, 0))`` and, as ``b - a == -(a - b)``, ``fsum(max(b - a, 0))``.
+    the capping construction.  Both sums filter one gap list ``a - b``:
+    ``fsum`` is correctly rounded (numpy's sum is not), so zeros and order do
+    not matter, and they equal, bit for bit, ``fsum(max(a - b, 0))`` and, as
+    ``b - a == -(a - b)``, ``fsum(max(b - a, 0))``.
     """
-    a, b = capped_branch_masses(trace, chain if chain is not None else ratio_chain(trace), t, cums)
+    a, b = capped_branch_masses(trace, t)
     d = [ai - bi for ai, bi in zip(a, b)]
     return CappedBranchDivergences(math.fsum([x for x in d if x > 0.0]), math.fsum([-x for x in d if x < 0.0]))
 

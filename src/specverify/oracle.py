@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
 
-from .divergence import joint_products, ratio_chain
+from .divergence import joint_products
 from .models import MAX_SERIALIZABLE_PREFIXES, Sequence, TableArModel, sample_draft, sample_index, trace_for
 from .models import stream_run, substream
 from .verify import (
@@ -173,16 +173,15 @@ def enumerate_yield(
     refill = False
     for draft in product(range(vocab), repeat=gamma):
         trace = trace_for(q_model, p_model, (), draft)
-        cums = joint_products(trace)
-        q_joint = cums[1][gamma]
+        q_joint = joint_products(trace)[1][gamma]
         if q_joint == 0.0:
             continue
-        h, residual = plan(trace, cums)
+        h, residual = plan(trace)
         refill = residual is None
         if mutate == "h-double":
             h = _doubled(h)
         elif mutate == "unclamp":
-            h = _capped_ratios(trace, ratio_chain(trace), cums)
+            h = _capped_ratios(trace)
         for tau, pr_tau in enumerate(tau_law(h)):
             weight = q_joint * pr_tau
             if weight == 0.0:
@@ -233,24 +232,10 @@ class FitReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "verifier": self.verifier,
-            "vocab_size": self.vocab_size,
-            "gamma": self.gamma,
-            "length": self.length,
-            "seed": self.seed,
-            "trials": self.trials,
-            "k_drafts": self.k_drafts,
-            "mutate": self.mutate,
-            "tv": self.tv,
-            "tv_bound": self.tv_bound,
-            "max_z": self.max_z,
-            "z_bound": self.z_bound,
-            "z_violations": self.z_violations,
-            "worst_sequence": list(self.worst_sequence),
-            "worst_error": self.worst_error,
-            "pass": self.passed,
-        }
+        doc = asdict(self)  # field order; passed is the last field, so "pass" stays last
+        doc["worst_sequence"] = list(self.worst_sequence)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def _simulate_sequence(

@@ -21,19 +21,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    Cums,
-    RatioChain,
-    capped_branch_divergences,
-    capped_branch_masses,
-    joint_products,
-    ratio_chain,
-)
+from .divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
 from .models import Dist, DraftTrace, Sequence, TableArModel, index_from_uniform
 
 logger = logging.getLogger(__name__)
@@ -65,18 +58,6 @@ class VerifyOutcome:
     tau: int
     emitted: Sequence
     events: tuple[Event, ...]
-
-
-@dataclass(frozen=True)
-class AcceptanceChain:
-    """Per-position acceptance probabilities of one verifier for one trace.
-
-    ``h[t]`` (0-indexed) governs acceptance of the drafted prefix of length
-    ``t + 1``.
-    """
-
-    method: str
-    h: tuple[float, ...]
 
 
 def _draw(dist: Dist, rng: np.random.Generator) -> tuple[int, float]:
@@ -128,35 +109,33 @@ def forward_scan(h: tuple[float, ...], rng: np.random.Generator) -> tuple[int, l
 # ---------------------------------------------------------------------------
 
 
-def tokenwise_residual(p_dist: Dist, q_dist: Dist) -> Dist:
-    """Normalised target-minus-draft excess over one branch's conditionals."""
-    num = [max(pi - qi, 0.0) for pi, qi in zip(p_dist, q_dist)]
+def _normalised(a: Iterable[float], b: Iterable[float], degenerate: str, *where) -> Dist:
+    """The law proportional to ``max(a - b, 0)``; ``degenerate % where`` is the error when it has no mass."""
+    num = [max(ai - bi, 0.0) for ai, bi in zip(a, b)]
     den = math.fsum(num)
     if den <= 0.0:
-        raise ValueError("degenerate residual: target nowhere exceeds draft on this branch")
+        raise ValueError(degenerate % where)
     return tuple(n / den for n in num)
+
+
+def tokenwise_residual(p_dist: Dist, q_dist: Dist) -> Dist:
+    """Normalised target-minus-draft excess over one branch's conditionals."""
+    return _normalised(p_dist, q_dist, "degenerate residual: target nowhere exceeds draft on this branch")
 
 
 def naive_branch_residual(p_model: TableArModel, q_model: TableArModel, context: Sequence) -> Dist:
     """Branch resampling distribution from exact joints, valid off the drafted path."""
     context = tuple(context)
     pj, qj = p_model.joint(context), q_model.joint(context)
-    p_cond, q_cond = p_model.conditional(context), q_model.conditional(context)
-    num = [max(pj * pc - qj * qc, 0.0) for pc, qc in zip(p_cond, q_cond)]
-    den = math.fsum(num)
-    if den <= 0.0:
-        raise ValueError(f"degenerate branch residual at context {context}")
-    return tuple(n / den for n in num)
+    a = [pj * pc for pc in p_model.conditional(context)]
+    b = [qj * qc for qc in q_model.conditional(context)]
+    return _normalised(a, b, "degenerate branch residual at context %s", context)
 
 
-def capped_branch_residual(trace: DraftTrace, chain: RatioChain, t: int, cums: Cums | None = None) -> Dist:
+def capped_branch_residual(trace: DraftTrace, t: int) -> Dist:
     """Single-step resampling distribution over the branch of the first ``t`` tokens."""
-    a, b = capped_branch_masses(trace, chain, t, cums)
-    num = [max(ai - bi, 0.0) for ai, bi in zip(a, b)]
-    den = math.fsum(num)
-    if den <= 0.0:
-        raise ValueError(f"degenerate capped residual at a reached resample point (t={t})")
-    return tuple(n / den for n in num)
+    a, b = capped_branch_masses(trace, t)
+    return _normalised(a, b, "degenerate capped residual at a reached resample point (t=%d)", t)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +143,9 @@ def capped_branch_residual(trace: DraftTrace, chain: RatioChain, t: int, cums: C
 # ---------------------------------------------------------------------------
 
 
-def tokenwise_chain(trace: DraftTrace) -> AcceptanceChain:
+def tokenwise_chain(trace: DraftTrace) -> tuple[float, ...]:
     """Per-position conditional-ratio acceptance, clamped to 1."""
-    chain = ratio_chain(trace)
-    return AcceptanceChain("tokenwise", tuple(min(cr, 1.0) for cr in chain.cond_r))
+    return tuple(min(cr, 1.0) for cr in ratio_chain(trace).cond_r)
 
 
 def _naive_h(d_pq: float, d_qp: float) -> float:
@@ -177,13 +155,10 @@ def _naive_h(d_pq: float, d_qp: float) -> float:
     return d_pq / den
 
 
-def naive_hsd_chain(trace: DraftTrace, cums: Cums | None = None) -> AcceptanceChain:
-    """Acceptance chain of the naive branch-resampling verifier.
-
-    ``cums`` lets callers that already hold ``joint_products(trace)`` pass it.
-    """
+def naive_hsd_chain(trace: DraftTrace) -> tuple[float, ...]:
+    """Acceptance chain of the naive branch-resampling verifier."""
     chain = ratio_chain(trace)
-    p_cum, q_cum = cums if cums is not None else joint_products(trace)
+    p_cum, q_cum = joint_products(trace)
     gamma = trace.gamma
     h = []
     for t in range(1, gamma + 1):
@@ -199,32 +174,26 @@ def naive_hsd_chain(trace: DraftTrace, cums: Cums | None = None) -> AcceptanceCh
             else:
                 excesses.append(-gap)
         h.append(_naive_h(math.fsum(deficits), math.fsum(excesses)))
-    return AcceptanceChain("naive-hsd", tuple(h))
+    return tuple(h)
 
 
-def _capped_ratios(trace: DraftTrace, chain: RatioChain, cums: Cums) -> tuple[float, ...]:
+def _capped_ratios(trace: DraftTrace) -> tuple[float, ...]:
     """The capped acceptance ratios before their clamp to 1."""
     h = []
     for t in range(1, trace.gamma):
-        dstar_pq, dstar_qp = capped_branch_divergences(trace, t, chain, cums)
+        dstar_pq, dstar_qp = capped_branch_divergences(trace, t)
         if dstar_qp <= 0.0 < dstar_pq:
             logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, dstar_pq)
         h.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
-    return (*h, chain.rstar[-1])
+    return (*h, ratio_chain(trace).rstar[-1])
 
 
-def capped_hsd_chain(trace: DraftTrace, chain: RatioChain | None = None, cums: Cums | None = None) -> AcceptanceChain:
-    """Acceptance chain of the capped branch-resampling verifier.
-
-    ``chain`` and ``cums`` let callers that already hold ``ratio_chain(trace)``
-    and ``joint_products(trace)`` pass them.
-    """
-    chain = chain if chain is not None else ratio_chain(trace)
-    cums = cums if cums is not None else joint_products(trace)
-    return AcceptanceChain("capped-hsd", tuple([min(v, 1.0) for v in _capped_ratios(trace, chain, cums)]))
+def capped_hsd_chain(trace: DraftTrace) -> tuple[float, ...]:
+    """Acceptance chain of the capped branch-resampling verifier."""
+    return tuple([min(v, 1.0) for v in _capped_ratios(trace)])
 
 
-def blockwise_acceptance_chain(trace: DraftTrace) -> AcceptanceChain:
+def blockwise_acceptance_chain(trace: DraftTrace) -> tuple[float, ...]:
     """Acceptance chain of blockwise verification.
 
     Tracks the running clamp ``p_t = min(p_{t-1} * cond_r[t], 1)`` and checks
@@ -256,16 +225,15 @@ def blockwise_acceptance_chain(trace: DraftTrace) -> AcceptanceChain:
         num = math.fsum([g for px, qx in zip(trace.p_dists[t], trace.q_dists[t]) if (g := pt * px - qx) > 0.0])
         den = num + (1.0 - pt)
         h.append(1.0 if den <= 0.0 else num / den)
-    return AcceptanceChain("blockwise", tuple(h))
+    return tuple(h)
 
 
-def expected_accept_length(chain: AcceptanceChain, mode: str) -> float:
+def expected_accept_length(h: tuple[float, ...], mode: str) -> float:
     """Expected accepted prefix length implied by an acceptance chain.
 
     ``token`` mode sums running products (front scan with stopping);
     ``backward`` mode sums tail survival probabilities (backward scan).
     """
-    h = chain.h
     if mode == "token":
         terms = []
         prod = 1.0
@@ -291,27 +259,22 @@ def expected_accept_length(chain: AcceptanceChain, mode: str) -> float:
 Plan = tuple[tuple[float, ...], Callable[[int], Dist] | None]
 
 
-def _tokenwise_plan(trace: DraftTrace, cums: Cums | None = None) -> Plan:
-    h = tokenwise_chain(trace).h
-    return h, lambda tau: tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
+def _tokenwise_plan(trace: DraftTrace) -> Plan:
+    return tokenwise_chain(trace), lambda tau: tokenwise_residual(trace.p_dists[tau], trace.q_dists[tau])
 
 
-def _naive_hsd_plan(trace: DraftTrace, cums: Cums | None = None) -> Plan:
-    return naive_hsd_chain(trace, cums).h, None
+def _naive_hsd_plan(trace: DraftTrace) -> Plan:
+    return naive_hsd_chain(trace), None
 
 
-def _capped_hsd_plan(trace: DraftTrace, cums: Cums | None = None) -> Plan:
-    chain = ratio_chain(trace)
-    cums = cums if cums is not None else joint_products(trace)
-    h = capped_hsd_chain(trace, chain, cums).h
-    return h, lambda tau: capped_branch_residual(trace, chain, tau, cums)
+def _capped_hsd_plan(trace: DraftTrace) -> Plan:
+    return capped_hsd_chain(trace), lambda tau: capped_branch_residual(trace, tau)
 
 
-# verifier -> (plan, scan direction).  A plan maps ``(trace, cums=None)``,
-# where ``cums`` is ``joint_products(trace)`` if the caller holds it, to
-# ``(h, residual)``: the acceptance chain, and ``residual(tau)``, the law of
-# the token drawn after a rejection at ``tau``.  ``residual`` is None for
-# naive-hsd, which refills positions ``tau + 1 .. gamma`` one at a time from
+# verifier -> (plan, scan direction).  A plan maps a trace to ``(h, residual)``:
+# the acceptance chain, and ``residual(tau)``, the law of the token drawn
+# after a rejection at ``tau``.  ``residual`` is None for naive-hsd, which
+# refills positions ``tau + 1 .. gamma`` one at a time from
 # ``naive_branch_residual``.  Plans, residuals and scans are called by their
 # module-level names, so whatever rebinds those names is seen by every caller.
 SINGLE_DRAFT = {

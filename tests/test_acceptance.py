@@ -34,7 +34,6 @@ from specverify.oracle import (
     total_variation,
 )
 from specverify.verify import (
-    AcceptanceChain,
     backward_scan,
     blockwise_acceptance_chain,
     capped_hsd_chain,
@@ -135,17 +134,17 @@ def exact_block_ordering(p, q, gamma, chain_builder=blockwise_acceptance_chain):
     for tokens in product(range(p.vocab_size), repeat=gamma):
         trace = trace_for(q, p, (), tokens)
         weight = q.joint(tokens)
-        chain = chain_builder(trace)
-        clamps, token_h = block_clamps(trace), tokenwise_chain(trace).h
+        h = chain_builder(trace)
+        clamps, token_h = block_clamps(trace), tokenwise_chain(trace)
         tail = 1.0
         for i in range(gamma, 0, -1):
-            tail *= 1.0 - chain.h[i - 1]
+            tail *= 1.0 - h[i - 1]
             prefix = tokens[:i]
             mass[prefix] += weight
             survival[prefix] += weight * (1.0 - tail)
             clamp[prefix] = clamps[i - 1]
             token[prefix] = math.prod(token_h[:i])
-        mean_block += weight * expected_accept_length(chain, "backward")
+        mean_block += weight * expected_accept_length(h, "backward")
         mean_token += weight * method_expected_tau("tokenwise", trace)
     return {
         "prefixes": len(mass),
@@ -255,13 +254,13 @@ def test_criterion_3_exact_check_detects_corrupted_block_chains():
     # the exact block-vs-token check must fail for a blockwise chain that is
     # wrong; each corruption keeps h a probability
     def doubled(trace):
-        return AcceptanceChain("doubled", tuple(min(2.0 * v, 1.0) for v in blockwise_acceptance_chain(trace).h))
+        return tuple(min(2.0 * v, 1.0) for v in blockwise_acceptance_chain(trace))
 
     def clamp_as_h(trace):
-        return AcceptanceChain("clamp", block_clamps(trace))
+        return block_clamps(trace)
 
     def last_forced_to_one(trace):
-        return AcceptanceChain("last-one", blockwise_acceptance_chain(trace).h[:-1] + (1.0,))
+        return blockwise_acceptance_chain(trace)[:-1] + (1.0,)
 
     worst = {
         builder.__name__: max(r["worst"] for r in exact_block_ordering_sweep(builder))
@@ -287,17 +286,16 @@ def test_capped_hsd_is_block_verification():
     for p, q, gamma in exact_grid_pairs():
         for tokens in product(range(p.vocab_size), repeat=gamma):
             trace = trace_for(q, p, (), tokens)
-            h = capped_hsd_chain(trace).h
-            block_h = blockwise_acceptance_chain(trace).h
+            h = capped_hsd_chain(trace)
+            block_h = blockwise_acceptance_chain(trace)
             worst_chain = max(worst_chain, *(abs(a - b) for a, b in zip(h, block_h)))
             whole = whole_draft_acceptance(trace)
             worst_whole = max(worst_whole, abs(whole["ours"] - whole["block"]))
-            chain, cums = ratio_chain(trace), joint_products(trace)
             clamps = (1.0,) + block_clamps(trace)
             for t in range(gamma):
                 want = block_residual(trace, t, clamps[t])
                 try:
-                    got = capped_branch_residual(trace, chain, t, cums)
+                    got = capped_branch_residual(trace, t)
                 except ValueError:
                     got = None
                 assert (got is None) == (want is None), (tokens, t, got, want)
@@ -383,7 +381,7 @@ def test_criterion_5_theory_identities():
                 best = min(best, prod)
             if abs(clamp - best) > 1e-12:
                 failures.append("suffix-min")
-        for hb, hk in zip(capped_hsd_chain(trace).h, blockwise_acceptance_chain(trace).h):
+        for hb, hk in zip(capped_hsd_chain(trace), blockwise_acceptance_chain(trace)):
             if hb < hk - 1e-10:
                 failures.append("dominance")
         caps = unique_capping_indices(chain)
@@ -417,8 +415,6 @@ def test_criterion_6_conservation(exhaustive_sweep):
     for seed in range(100):
         p, q = pair_for(60_000 + seed, vocab=3, depth=4, eps=1.0)
         trace = sample_draft(q, p, (), 3, substream(61_000, seed))
-        chain = ratio_chain(trace)
-        cums = joint_products(trace)
         dists = []
         for t in range(3):
             try:
@@ -426,7 +422,7 @@ def test_criterion_6_conservation(exhaustive_sweep):
             except ValueError:
                 pass
             try:
-                dists.append(capped_branch_residual(trace, chain, t, cums))
+                dists.append(capped_branch_residual(trace, t))
             except ValueError:
                 pass
             try:

@@ -187,6 +187,26 @@ def test_bench_report_bytes_match_the_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == BENCH_REPORT_SHA256
 
 
+ORACLE_REPORT_SHA256 = "7fe1a978fb73f8d0ff8ff3fcedc30413c252d5bd47cea094836041787fcb42b9"
+MC_REPORT_SHA256 = "feefa43ca0b5b7026c80b0f6da469958ba37275882a52b7fc5e4f9fc09e56450"
+
+
+def test_oracle_report_bytes_match_the_golden_digest(tmp_path, capsys):
+    # every single-draft verifier enumerated past its draft length
+    out_path = tmp_path / "oracle.json"
+    args = ["oracle", "--vocab", "3", "--gamma", "3", "--length", "4", "--pairs", "3", "--seed", "11"]
+    assert run(args + ["--format", "json", "--out", str(out_path)], capsys)[0] == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == ORACLE_REPORT_SHA256
+
+
+def test_mc_report_bytes_match_the_golden_digest(tmp_path, capsys):
+    # multi-draft capped-hsd: the capped plan and its residual inside every trial
+    out_path = tmp_path / "mc.json"
+    args = ["mc", "--verifier", "capped-hsd", "--drafts", "2", "--vocab", "2", "--gamma", "2", "--trials", "10000"]
+    assert run(args + ["--seed", "4", "--format", "json", "--out", str(out_path)], capsys)[0] == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == MC_REPORT_SHA256
+
+
 def test_bench_repeated_runs_are_byte_identical(tmp_path, capsys):
     args = ["bench", "--vocab", "3", "--gamma", "1,2", "--eps", "0.5", "--trials", "200", "--seed", "3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -205,6 +205,29 @@ def test_ratio_chain_is_built_once_per_trace_object(small_pair):
     assert chain == ratio_chain_from_conditionals(p_cond, q_cond)
 
 
+def test_joint_products_are_built_once_per_trace_object(small_pair):
+    p, q = small_pair
+    trace = sample_draft(q, p, (), 3, substream(27))
+    cums = joint_products(trace)
+    assert joint_products(trace) is cums
+    # an equal but distinct trace gets fresh tuples with the same values
+    twin = DraftTrace(trace.prefix, trace.tokens, trace.q_dists, trace.p_dists, trace.bonus_dist)
+    twin_cums = joint_products(twin)
+    assert twin_cums is not cums and twin_cums == cums
+    assert all(type(cum) is tuple for cum in twin_cums)
+
+
+def test_interleaved_traces_never_read_each_others_memo(small_pair):
+    p, q = small_pair
+    first, second = (sample_draft(q, p, (), 3, substream(30, i)) for i in range(2))
+    want = [capped_branch_masses(trace, 1) for trace in (first, second)]
+    assert want[0] != want[1]
+    for trace, other, masses in ((first, second, want[0]), (second, first, want[1])):
+        ratio_chain(trace)
+        joint_products(other)  # the two memos now hold different traces
+        assert capped_branch_masses(trace, 1) == masses
+
+
 def test_ratio_chain_of_an_undraftable_trace_raises_every_time(small_pair):
     p, q = small_pair
     good = sample_draft(q, p, (), 2, substream(28))
@@ -354,11 +377,3 @@ def test_telescoping_of_resampling_mass():
             resample_mass = max(fragment - 1.0, 0.0) * q_cum[cur] * (segmented(cur) / q_cum[cur])
             assert abs(resample_mass - (segmented(prev) - segmented(cur))) <= 1e-10
     assert seen >= 50
-
-
-def test_capped_masses_reuse_precomputed_products(small_pair):
-    p, q = small_pair
-    trace = sample_draft(q, p, (), 3, substream(26))
-    chain = ratio_chain(trace)
-    cums = joint_products(trace)
-    assert capped_branch_masses(trace, chain, 1, cums) == capped_branch_masses(trace, chain, 1)

@@ -78,7 +78,7 @@ def test_scans_validate_the_analytic_formulas(small_pair):
     scans = {"token": forward_scan, "backward": backward_scan}
     for method in METHODS:
         builder, mode = METHOD_CHAINS[method]
-        h = builder(trace).h
+        h = builder(trace)
         rng = substream(75)
         mean = sum(scans[mode](h, rng)[0] for _ in range(n)) / n
         analytic = method_expected_tau(method, trace)
@@ -113,7 +113,7 @@ def test_whole_draft_acceptance_ordering(small_pair):
 def test_whole_draft_token_form_is_the_chain_product(small_pair):
     p, q = small_pair
     trace = sample_draft(q, p, (), 3, substream(77))
-    h = tokenwise_chain(trace).h
+    h = tokenwise_chain(trace)
     prod = 1.0
     for v in h:
         prod *= v

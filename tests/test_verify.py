@@ -3,11 +3,10 @@ import math
 
 import pytest
 
-from specverify.divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
+from specverify.divergence import capped_branch_divergences, capped_branch_masses, ratio_chain
 from specverify.models import DraftTrace, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
-    AcceptanceChain,
     _capped_ratios,
     backward_scan,
     blockwise_acceptance_chain,
@@ -79,17 +78,17 @@ def test_forward_scan_stops_at_first_rejection():
 
 def test_tokenwise_chain_reproduces_reference_values():
     trace = synthetic_trace(REFERENCE_P_COND, REFERENCE_Q_COND)
-    for got, want in zip(tokenwise_chain(trace).h, REFERENCE_TOKENWISE_H):
+    for got, want in zip(tokenwise_chain(trace), REFERENCE_TOKENWISE_H):
         assert abs(got - want) <= 1e-3
 
 
 def test_chains_are_all_ones_for_identical_models(identical_pair):
     p, q = identical_pair
     trace = sample_draft(q, p, (), 3, substream(33))
-    assert tokenwise_chain(trace).h == (1.0, 1.0, 1.0)
-    assert naive_hsd_chain(trace).h == (1.0, 1.0, 1.0)
-    assert capped_hsd_chain(trace).h == (1.0, 1.0, 1.0)
-    assert blockwise_acceptance_chain(trace).h == (1.0, 1.0, 1.0)
+    assert tokenwise_chain(trace) == (1.0, 1.0, 1.0)
+    assert naive_hsd_chain(trace) == (1.0, 1.0, 1.0)
+    assert capped_hsd_chain(trace) == (1.0, 1.0, 1.0)
+    assert blockwise_acceptance_chain(trace) == (1.0, 1.0, 1.0)
 
 
 def test_blockwise_clamp_follows_the_two_step_example():
@@ -102,7 +101,7 @@ def test_blockwise_clamp_follows_the_two_step_example():
     )
     chain = ratio_chain(trace)
     assert chain.cond_r == (2.0, 0.25)
-    h = blockwise_acceptance_chain(trace).h
+    h = blockwise_acceptance_chain(trace)
     # final entry is the clamp value itself: min{1, 0.25, 0.5} = 0.25
     assert h[-1] == pytest.approx(0.25, abs=1e-15)
 
@@ -112,7 +111,7 @@ def definitional_capped_ratios(trace):
     chain = ratio_chain(trace)
     ratios = []
     for t in range(1, trace.gamma):
-        a, b = capped_branch_masses(trace, chain, t)
+        a, b = capped_branch_masses(trace, t)
         dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
         dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
         ratios.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
@@ -152,16 +151,14 @@ def exact_sum_traces():
 def test_one_pass_sums_equal_the_definitional_sums_bit_for_bit():
     saw_all_zero_gaps = False
     for trace in exact_sum_traces():
-        chain, cums = ratio_chain(trace), joint_products(trace)
         for t in range(trace.gamma):
-            a, b = capped_branch_masses(trace, chain, t)
+            a, b = capped_branch_masses(trace, t)
             saw_all_zero_gaps |= a == b
-            d = capped_branch_divergences(trace, t, chain, cums)
-            assert d == capped_branch_divergences(trace, t)
+            d = capped_branch_divergences(trace, t)
             assert d.dstar_pq == math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
             assert d.dstar_qp == math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
-        assert _capped_ratios(trace, chain, cums) == definitional_capped_ratios(trace)
-        assert blockwise_acceptance_chain(trace).h == definitional_blockwise_h(trace)
+        assert _capped_ratios(trace) == definitional_capped_ratios(trace)
+        assert blockwise_acceptance_chain(trace) == definitional_blockwise_h(trace)
     assert saw_all_zero_gaps
 
 
@@ -177,8 +174,8 @@ def test_capped_chain_dominates_blockwise_per_position():
     for seed in range(150):
         p, q = pair_for(seed, vocab=4, depth=5, eps=0.9)
         trace = sample_draft(q, p, (), 5, substream(35, seed))
-        h_capped = capped_hsd_chain(trace).h
-        h_block = blockwise_acceptance_chain(trace).h
+        h_capped = capped_hsd_chain(trace)
+        h_block = blockwise_acceptance_chain(trace)
         for hb, hk in zip(h_capped, h_block):
             assert hb >= hk - 1e-10
 
@@ -194,31 +191,30 @@ def test_reference_branch_chain_scans_to_length_four():
 
 
 def test_expected_length_degenerate_chains():
-    ones = AcceptanceChain("x", (1.0,) * 10)
-    zeros = AcceptanceChain("x", (0.0,) * 10)
+    ones = (1.0,) * 10
+    zeros = (0.0,) * 10
     for mode in ("token", "backward"):
         assert expected_accept_length(ones, mode) == pytest.approx(10.0, abs=1e-12)
         assert expected_accept_length(zeros, mode) == 0.0
 
 
 def test_expected_length_hand_values():
-    chain = AcceptanceChain("x", (0.5, 0.5))
-    assert expected_accept_length(chain, "backward") == pytest.approx(1.25, abs=1e-12)
-    assert expected_accept_length(chain, "token") == pytest.approx(0.75, abs=1e-12)
+    h = (0.5, 0.5)
+    assert expected_accept_length(h, "backward") == pytest.approx(1.25, abs=1e-12)
+    assert expected_accept_length(h, "token") == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValueError):
-        expected_accept_length(chain, "forward")
+        expected_accept_length(h, "forward")
 
 
 def test_expected_length_matches_simulated_scans():
     h = (0.7, 0.2, 0.9, 0.4)
-    chain = AcceptanceChain("x", h)
     n = 200_000
     rng = substream(37)
     total_fwd = sum(forward_scan(h, rng)[0] for _ in range(n))
     rng = substream(38)
     total_bwd = sum(backward_scan(h, rng)[0] for _ in range(n))
-    assert abs(total_fwd / n - expected_accept_length(chain, "token")) <= 0.02
-    assert abs(total_bwd / n - expected_accept_length(chain, "backward")) <= 0.02
+    assert abs(total_fwd / n - expected_accept_length(h, "token")) <= 0.02
+    assert abs(total_bwd / n - expected_accept_length(h, "backward")) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def test_scan_uniforms_are_replayable_from_the_log(small_pair):
     p, q = small_pair
     trace = sample_draft(q, p, (), 3, substream(67))
     outcome = capped_hsd_verify(trace, substream(68))
-    h = capped_hsd_chain(trace).h
+    h = capped_hsd_chain(trace)
     position = 3
     for event in outcome.events:
         if event.kind in ("accept", "reject"):
