@@ -7,7 +7,6 @@ target distribution by exhaustive enumeration or Monte Carlo.
 
 from .divergence import (
     BranchDivergences,
-    CappedBranchDivergences,
     RatioChain,
     branch_divergences,
     capped_branch_divergences,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchDivergences",
-    "CappedBranchDivergences",
     "Dist",
     "DraftTrace",
     "Event",

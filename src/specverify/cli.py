@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import method_expected_tau, whole_draft_acceptance
@@ -35,6 +34,7 @@ from .oracle import (
     SINGLE_DRAFT_VERIFIERS,
     enumerate_yield,
     monte_carlo_fit,
+    pool_map,
     target_joint_distribution,
     total_variation,
 )
@@ -173,6 +173,8 @@ def _oracle_pair_job(payload: dict) -> list[dict]:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     verifiers = [v.strip() for v in args.verifiers.split(",") if v.strip()]
+    if not verifiers:
+        raise ValueError("no verifier to certify")
     for v in verifiers:
         if v not in SINGLE_DRAFT_VERIFIERS:
             raise ValueError(f"unknown verifier {v!r}; oracle enumerates {SINGLE_DRAFT_VERIFIERS}")
@@ -199,11 +201,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         }
         for pair_index in range(args.pairs)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            grouped = list(pool.map(_oracle_pair_job, payloads))
-    else:
-        grouped = [_oracle_pair_job(p) for p in payloads]
+    grouped = pool_map(_oracle_pair_job, payloads, args.workers)
     reports = [report for group in grouped for report in group]
     all_pass = all(r["pass"] for r in reports)
     doc = {
@@ -309,6 +307,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("need at least one draft per configuration")
     grid = [(v, g, e) for v in vocabs for g in gammas for e in epss]
+    if not grid:
+        raise ValueError("empty grid: --vocab, --gamma and --eps each need at least one value")
     for v, g, _ in grid:
         if args.depth is not None and args.depth < g:
             raise ValueError(f"depth {args.depth} is shallower than gamma {g}")
@@ -327,11 +327,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         }
         for i, (v, g, e) in enumerate(grid)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_bench_config_job, payloads))
-    else:
-        results = [_bench_config_job(p) for p in payloads]
+    results = pool_map(_bench_config_job, payloads, args.workers)
     rows = [row for res in results for row in res["rows"]]
     total_violations = sum(res["violations"] for res in results)
     summary = {
@@ -389,6 +385,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     verifier = args.verifier
+    if args.drafts < 1:
+        raise ValueError(f"--drafts must be >= 1, got {args.drafts}")
     if args.drafts > 1 and verifier in ("tokenwise", "capped-hsd"):
         verifier = {"tokenwise": "multidraft-tokenwise", "capped-hsd": "multidraft-hsd"}[verifier]
     if args.drafts > 1 and verifier == "naive-hsd":
@@ -568,6 +566,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "config", None):
             args = _apply_config_file(argv, args)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return handlers[args.command](args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

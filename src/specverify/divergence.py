@@ -40,8 +40,7 @@ def generalized_divergence(p: Dist, q: Dist, subset: Iterable[int]) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class BranchDivergences:
+class BranchDivergences(NamedTuple):
     """Deficient/excess joint mass over the one-token extensions of a prefix."""
 
     d_pq: float
@@ -50,6 +49,22 @@ class BranchDivergences:
     @property
     def asymmetry(self) -> float:
         return self.d_pq - self.d_qp
+
+
+def _branch_sums(gaps: list[float]) -> BranchDivergences:
+    """Deficit and excess of a branch's gap list ``a - b``.
+
+    Both sums filter the one list: ``fsum`` is correctly rounded (numpy's sum
+    is not), so zeros and order do not matter, and they equal, bit for bit,
+    ``fsum(max(a - b, 0))`` and, as ``b - a == -(a - b)``, ``fsum(max(b - a, 0))``.
+    """
+    return BranchDivergences(math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0]))
+
+
+def branch_gaps(p_model: TableArModel, q_model: TableArModel, prefix: Sequence) -> list[float]:
+    """Target-minus-draft joint mass ``p(prefix, x) - q(prefix, x)`` of each one-token extension."""
+    pj, qj = p_model.joint(prefix), q_model.joint(prefix)
+    return [pj * pc - qj * qc for pc, qc in zip(p_model.conditional(prefix), q_model.conditional(prefix))]
 
 
 def branch_divergences(p_model: TableArModel, q_model: TableArModel, prefix: Sequence) -> BranchDivergences:
@@ -62,18 +77,7 @@ def branch_divergences(p_model: TableArModel, q_model: TableArModel, prefix: Seq
     prefix = tuple(prefix)
     if len(prefix) >= min(p_model.max_depth, q_model.max_depth):
         raise ValueError(f"prefix of length {len(prefix)} leaves no room for extensions")
-    pj = p_model.joint(prefix)
-    qj = q_model.joint(prefix)
-    p_cond = p_model.conditional(prefix)
-    q_cond = q_model.conditional(prefix)
-    deficits, excesses = [], []
-    for x in range(p_model.vocab_size):
-        gap = pj * p_cond[x] - qj * q_cond[x]
-        if gap > 0.0:
-            deficits.append(gap)
-        else:
-            excesses.append(-gap)
-    return BranchDivergences(math.fsum(deficits), math.fsum(excesses))
+    return _branch_sums(branch_gaps(p_model, q_model, prefix))
 
 
 def hierarchy_check(p_model: TableArModel, q_model: TableArModel, prefix: Sequence) -> tuple[float, float]:
@@ -184,47 +188,27 @@ def joint_products(trace: DraftTrace) -> tuple[tuple[float, ...], tuple[float, .
     return cums
 
 
-def capped_branch_masses(trace: DraftTrace, t: int) -> tuple[list[float], list[float]]:
-    """Capped hybrid mass and draft mass for each extension of the first ``t`` tokens.
+def capped_branch_masses(trace: DraftTrace, t: int, mb: int | None = None) -> list[float]:
+    """Capped hybrid mass minus draft mass, the gap list, over the extensions of the first ``t`` tokens.
 
-    For extension token x at position ``t + 1`` the capped prefix ratio uses
-    the branch's shared maximal-prefix index, so its mass factors as
-    ``q(X_{1:m}) * p(X_{m+1:t}) * p(x | X_{1:t})`` against the plain draft
-    joint ``q(X_{1:t}) * q(x | X_{1:t})``.  This form stays finite when the
-    draft assigns an extension zero probability.
+    Extension x at position ``t + 1`` has its prefix ratio capped at the shared
+    index ``mb`` (default: the trace's maximal-prefix index ``m[t]``), so its
+    mass ``q(X_{1:mb}) * p(X_{mb+1:t}) * p(x | X_{1:t})`` stays finite where the
+    draft joint ``q(X_{1:t}) * q(x | X_{1:t})`` is 0.  At ``mb = 0`` the hybrid
+    factor is ``1.0 * (p(X_{1:t}) / 1.0)``: naive-hsd's uncapped branch, exactly.
     """
     if not 0 <= t < trace.gamma:
         raise ValueError(f"branch position {t} outside [0, {trace.gamma})")
-    mb = ratio_chain(trace).m[t]  # maximal-prefix index shared by all (t+1)-length extensions
+    if mb is None:
+        mb = ratio_chain(trace).m[t]
     p_cum, q_cum = joint_products(trace)
-    hybrid = q_cum[mb] * (p_cum[t] / p_cum[mb])
-    base_q = q_cum[t]
-    p_next, q_next = trace.p_dists[t], trace.q_dists[t]
-    a = [hybrid * px for px in p_next]
-    b = [base_q * qx for qx in q_next]
-    return a, b
+    hybrid, base_q = q_cum[mb] * (p_cum[t] / p_cum[mb]), q_cum[t]
+    return [hybrid * px - base_q * qx for px, qx in zip(trace.p_dists[t], trace.q_dists[t])]
 
 
-class CappedBranchDivergences(NamedTuple):
-    """Deficient/excess mass over a branch after capping the maximal prefix ratio."""
-
-    dstar_pq: float
-    dstar_qp: float
-
-
-def capped_branch_divergences(trace: DraftTrace, t: int) -> CappedBranchDivergences:
-    """Capped branch divergences at the branch of the first ``t`` drafted tokens.
-
-    Computable from the trace alone: the capped ratio of every vocabulary
-    extension reuses the accepted prefix's chain, which is the whole point of
-    the capping construction.  Both sums filter one gap list ``a - b``:
-    ``fsum`` is correctly rounded (numpy's sum is not), so zeros and order do
-    not matter, and they equal, bit for bit, ``fsum(max(a - b, 0))`` and, as
-    ``b - a == -(a - b)``, ``fsum(max(b - a, 0))``.
-    """
-    a, b = capped_branch_masses(trace, t)
-    d = [ai - bi for ai, bi in zip(a, b)]
-    return CappedBranchDivergences(math.fsum([x for x in d if x > 0.0]), math.fsum([-x for x in d if x < 0.0]))
+def capped_branch_divergences(trace: DraftTrace, t: int, mb: int | None = None) -> BranchDivergences:
+    """Branch divergences of the first ``t`` drafted tokens, capped at ``mb``: from the trace alone."""
+    return _branch_sums(capped_branch_masses(trace, t, mb))
 
 
 def unique_capping_indices(chain: RatioChain) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ only enumeration can see.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -279,6 +280,19 @@ def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, m
     return counts
 
 
+def pool_map(fn, payloads: list, workers: int) -> list:
+    """``[fn(p) for p in payloads]`` on at most ``min(workers, len(payloads), os.cpu_count())`` processes.
+
+    A fork-started pool starts all of its workers at the first submit, so its
+    size is capped by the jobs and the cores; results never depend on it.
+    """
+    size = min(workers, len(payloads), os.cpu_count() or 1)
+    if size <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, payloads))
+
+
 def _mc_chunk(payload: tuple) -> Counter:
     models, *args = payload
     return _trial_counts(*(TableArModel(*model) for model in models), *args)
@@ -329,9 +343,8 @@ def monte_carlo_fit(
         models = [(m.vocab_size, m.max_depth, {s: m.conditional(s) for s in m.prefixes()}) for m in (p_model, q_model)]
         payloads = [(models, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
         counts: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_mc_chunk, payloads):
-                counts.update(chunk)
+        for chunk in pool_map(_mc_chunk, payloads, workers):
+            counts.update(chunk)
     else:
         counts = _trial_counts(p_model, q_model, range(trials), *run)
 

@@ -2,18 +2,19 @@
 
 Each single-draft verifier is defined once, as an entry of the
 :data:`SINGLE_DRAFT` table: tokenwise accept/resample, branch resampling in
-its naive form (which must query the models off the drafted path), and
+its naive form (whose refill queries the models off the drafted path), and
 branch resampling with the maximal prefix ratio capped (which needs nothing
 beyond the trace).  The samplers here and the exact enumeration and mutation
-tests of :mod:`specverify.oracle` all read that table.  Blockwise acceptance
-is kept to chain depth, as the independent reference for capped-hsd.  Two
-multi-draft variants layer recursive rejection sampling with replacement on
-top of the tokenwise and capped verifiers.
+tests of :mod:`specverify.oracle` all read that table.  Both branch chains
+run one loop: naive-hsd is capped-hsd with every cap index 0.  Blockwise
+acceptance is kept to chain depth, as the independent reference for
+capped-hsd.  Two multi-draft variants layer recursive rejection sampling
+with replacement on top of the tokenwise and capped verifiers.
 
 Every verifier consumes one uniform per decision, drawn in scan order, so a
-trajectory can be replayed from its event log.  The capped-branch and block
-sums ``fsum`` filtered gap lists: bit for bit the sums of ``max(gap, 0)``, for
-the reason :func:`specverify.divergence.capped_branch_divergences` gives.
+trajectory can be replayed from its event log.  Branch and block sums
+``fsum`` filtered gap lists: bit for bit the sums of ``max(gap, 0)``, for the
+reason :func:`specverify.divergence._branch_sums` gives.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
+from .divergence import branch_gaps, capped_branch_masses, ratio_chain
 from .models import Dist, DraftTrace, Sequence, TableArModel, index_from_uniform
 
 logger = logging.getLogger(__name__)
@@ -109,9 +110,9 @@ def forward_scan(h: tuple[float, ...], rng: np.random.Generator) -> tuple[int, l
 # ---------------------------------------------------------------------------
 
 
-def _normalised(a: Iterable[float], b: Iterable[float], degenerate: str, *where) -> Dist:
-    """The law proportional to ``max(a - b, 0)``; ``degenerate % where`` is the error when it has no mass."""
-    num = [max(ai - bi, 0.0) for ai, bi in zip(a, b)]
+def _normalised(gaps: Iterable[float], degenerate: str, *where) -> Dist:
+    """The law proportional to ``max(gap, 0)``; ``degenerate % where`` is the error when it has no mass."""
+    num = [max(g, 0.0) for g in gaps]
     den = math.fsum(num)
     if den <= 0.0:
         raise ValueError(degenerate % where)
@@ -120,22 +121,20 @@ def _normalised(a: Iterable[float], b: Iterable[float], degenerate: str, *where)
 
 def tokenwise_residual(p_dist: Dist, q_dist: Dist) -> Dist:
     """Normalised target-minus-draft excess over one branch's conditionals."""
-    return _normalised(p_dist, q_dist, "degenerate residual: target nowhere exceeds draft on this branch")
+    gaps = [pi - qi for pi, qi in zip(p_dist, q_dist)]
+    return _normalised(gaps, "degenerate residual: target nowhere exceeds draft on this branch")
 
 
 def naive_branch_residual(p_model: TableArModel, q_model: TableArModel, context: Sequence) -> Dist:
     """Branch resampling distribution from exact joints, valid off the drafted path."""
-    context = tuple(context)
-    pj, qj = p_model.joint(context), q_model.joint(context)
-    a = [pj * pc for pc in p_model.conditional(context)]
-    b = [qj * qc for qc in q_model.conditional(context)]
-    return _normalised(a, b, "degenerate branch residual at context %s", context)
+    gaps = branch_gaps(p_model, q_model, context)
+    return _normalised(gaps, "degenerate branch residual at context %s", context)
 
 
 def capped_branch_residual(trace: DraftTrace, t: int) -> Dist:
     """Single-step resampling distribution over the branch of the first ``t`` tokens."""
-    a, b = capped_branch_masses(trace, t)
-    return _normalised(a, b, "degenerate capped residual at a reached resample point (t=%d)", t)
+    gaps = capped_branch_masses(trace, t)
+    return _normalised(gaps, "degenerate capped residual at a reached resample point (t=%d)", t)
 
 
 # ---------------------------------------------------------------------------
@@ -148,44 +147,33 @@ def tokenwise_chain(trace: DraftTrace) -> tuple[float, ...]:
     return tuple(min(cr, 1.0) for cr in ratio_chain(trace).cond_r)
 
 
-def _naive_h(d_pq: float, d_qp: float) -> float:
-    den = max(d_pq, d_qp)
-    if den <= 0.0:
-        return 1.0  # locally identical distributions: nothing to correct
-    return d_pq / den
+def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list[float]:
+    """Unclamped ratios ``d_pq / d_qp`` (1 where ``d_qp == 0``) of branches t = 1 .. gamma - 1, capped at ``caps[t]``.
+
+    The sums are those of ``capped_branch_divergences``, inline because every chain runs this loop.
+    ``warn`` logs a branch with excess 0 but deficit > 0: under the trace's own caps
+    ``r_t <= r_{m_t}``, so only rounding gives that; uncapped, any ``r_t > 1`` can.
+    """
+    h = []
+    for t in range(1, trace.gamma):
+        gaps = capped_branch_masses(trace, t, caps[t])
+        d_pq, d_qp = math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0])
+        if warn and d_qp <= 0.0 < d_pq:
+            logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, d_pq)
+        h.append(d_pq / d_qp if d_qp > 0.0 else 1.0)
+    return h
 
 
 def naive_hsd_chain(trace: DraftTrace) -> tuple[float, ...]:
-    """Acceptance chain of the naive branch-resampling verifier."""
-    chain = ratio_chain(trace)
-    p_cum, q_cum = joint_products(trace)
-    gamma = trace.gamma
-    h = []
-    for t in range(1, gamma + 1):
-        if t == gamma:
-            h.append(min(chain.r[gamma - 1], 1.0))
-            break
-        deficits, excesses = [], []
-        p_next, q_next = trace.p_dists[t], trace.q_dists[t]
-        for px, qx in zip(p_next, q_next):
-            gap = p_cum[t] * px - q_cum[t] * qx
-            if gap > 0.0:
-                deficits.append(gap)
-            else:
-                excesses.append(-gap)
-        h.append(_naive_h(math.fsum(deficits), math.fsum(excesses)))
-    return tuple(h)
+    """Acceptance chain of the naive branch-resampling verifier: every branch capped at index 0."""
+    ratios = _branch_ratios(trace, (0,) * trace.gamma, False)
+    return tuple([min(v, 1.0) for v in ratios] + [min(ratio_chain(trace).r[-1], 1.0)])
 
 
 def _capped_ratios(trace: DraftTrace) -> tuple[float, ...]:
     """The capped acceptance ratios before their clamp to 1."""
-    h = []
-    for t in range(1, trace.gamma):
-        dstar_pq, dstar_qp = capped_branch_divergences(trace, t)
-        if dstar_qp <= 0.0 < dstar_pq:
-            logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, dstar_pq)
-        h.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
-    return (*h, ratio_chain(trace).rstar[-1])
+    chain = ratio_chain(trace)
+    return (*_branch_ratios(trace, chain.m, True), chain.rstar[-1])
 
 
 def capped_hsd_chain(trace: DraftTrace) -> tuple[float, ...]:

@@ -264,9 +264,72 @@ def test_mc_naive_has_no_multidraft_variant(tmp_path, capsys):
     assert "multi-draft" in err
 
 
+def test_mc_rejects_fewer_than_one_draft(tmp_path, capsys):
+    out_path = tmp_path / "mc.json"
+    for drafts in ("0", "-2"):
+        code, _, err = run(["mc", "--drafts", drafts, "--trials", "10000", "--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE
+        assert "--drafts" in err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file, env var, usage errors
 # ---------------------------------------------------------------------------
+
+
+def test_an_empty_certificate_is_a_usage_error(tmp_path, capsys):
+    # nothing to certify must not pass as all_pass=True over 0 reports, or 0 rows
+    out_path = tmp_path / "report"
+    for argv in (
+        ["oracle", "--verifiers", ","],
+        ["bench", "--vocab", ""],
+        ["bench", "--gamma", ","],
+        ["bench", "--eps", ""],
+    ):
+        code, _, err = run(argv + ["--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE, argv
+        assert "error:" in err
+    assert not out_path.exists()
+
+
+def test_worker_pools_never_outnumber_their_jobs_or_the_cores(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs every job in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    runs = {  # command -> (argv, pool size for --workers 64)
+        "oracle": (["oracle", "--vocab", "3", "--gamma", "2", "--pairs", "3"], 3),  # 3 pair jobs
+        "bench": (["bench", "--vocab", "3,4", "--gamma", "2", "--eps", "0.5", "--trials", "50"], 2),  # 2 configs
+        "mc": (["mc", "--verifier", "tokenwise", "--trials", "10000"], 4),  # 64 chunks, 4 cores
+    }
+    for name, (argv, size) in runs.items():
+        sizes.clear()
+        wide, serial = tmp_path / f"{name}-64", tmp_path / f"{name}-1"
+        assert run(argv + ["--workers", "64", "--out", str(wide)], capsys)[0] == EXIT_OK
+        assert sizes == [size], name
+        assert run(argv + ["--workers", "1", "--out", str(serial)], capsys)[0] == EXIT_OK
+        assert wide.read_bytes() == serial.read_bytes()
+        for workers in ("0", "-1"):
+            code, _, err = run(argv + ["--workers", workers, "--out", str(tmp_path / "none")], capsys)
+            assert code == EXIT_USAGE and "--workers" in err
+        assert sizes == [size]  # neither the serial run nor the rejected ones asked for a pool
+    assert not (tmp_path / "none").exists()
 
 
 def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):

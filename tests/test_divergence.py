@@ -276,16 +276,20 @@ def test_capped_divergences_vanish_for_identical_models(identical_pair):
     trace = sample_draft(q, p, (), 3, substream(21))
     for t in range(3):
         d = capped_branch_divergences(trace, t)
-        assert d.dstar_pq <= 1e-15 and d.dstar_qp <= 1e-15
+        assert d.d_pq <= 1e-15 and d.d_qp <= 1e-15
 
 
-def test_capped_equals_plain_divergence_at_the_root(small_pair):
-    p, q = small_pair
-    trace = sample_draft(q, p, (), 1, substream(22))
-    d = capped_branch_divergences(trace, 0)
-    plain = branch_divergences(p, q, ())
-    assert abs(d.dstar_pq - plain.d_pq) <= 1e-15
-    assert abs(d.dstar_qp - plain.d_qp) <= 1e-15
+def test_capped_at_index_zero_equals_plain_divergence_on_path():
+    # cap index 0 leaves the prefix ratio uncapped: naive-hsd's branch, exactly
+    branches = 0
+    for seed in range(30):
+        vocab, gamma = (2, 3, 5)[seed % 3], 2 + seed % 4
+        p, q = pair_for(seed, vocab=vocab, depth=gamma, eps=(0.0, 0.5, 1.0)[seed % 3])
+        trace = sample_draft(q, p, (), gamma, substream(22, seed))
+        for t in range(gamma):
+            assert capped_branch_divergences(trace, t, 0) == branch_divergences(p, q, trace.tokens[:t])
+            branches += 1
+    assert branches >= 100
 
 
 def literal_capped_divergences(trace, t):
@@ -334,8 +338,8 @@ def test_capped_divergences_match_literal_transcription():
         for t in range(2):
             d = capped_branch_divergences(trace, t)
             lit_pq, lit_qp = literal_capped_divergences(trace, t)
-            assert abs(d.dstar_pq - lit_pq) <= 1e-12
-            assert abs(d.dstar_qp - lit_qp) <= 1e-12
+            assert abs(d.d_pq - lit_pq) <= 1e-12
+            assert abs(d.d_qp - lit_qp) <= 1e-12
 
 
 def test_capped_branch_position_guard(small_pair):

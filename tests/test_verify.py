@@ -1,9 +1,10 @@
 import json
+import logging
 import math
 
 import pytest
 
-from specverify.divergence import capped_branch_divergences, capped_branch_masses, ratio_chain
+from specverify.divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
 from specverify.models import DraftTrace, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
@@ -111,11 +112,30 @@ def definitional_capped_ratios(trace):
     chain = ratio_chain(trace)
     ratios = []
     for t in range(1, trace.gamma):
-        a, b = capped_branch_masses(trace, t)
-        dstar_pq = math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
-        dstar_qp = math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
-        ratios.append(dstar_pq / dstar_qp if dstar_qp > 0.0 else 1.0)
+        gaps = capped_branch_masses(trace, t)
+        d_pq = math.fsum(max(g, 0.0) for g in gaps)
+        d_qp = math.fsum(max(-g, 0.0) for g in gaps)
+        ratios.append(d_pq / d_qp if d_qp > 0.0 else 1.0)
     return (*ratios, chain.rstar[-1])
+
+
+def definitional_naive_chain(trace):
+    """naive-hsd's chain from its own vocabulary loop over the uncapped target and draft joints."""
+    chain = ratio_chain(trace)
+    p_cum, q_cum = joint_products(trace)
+    h = []
+    for t in range(1, trace.gamma):
+        deficits, excesses = [], []
+        for px, qx in zip(trace.p_dists[t], trace.q_dists[t]):
+            gap = p_cum[t] * px - q_cum[t] * qx
+            if gap > 0.0:
+                deficits.append(gap)
+            else:
+                excesses.append(-gap)
+        d_pq, d_qp = math.fsum(deficits), math.fsum(excesses)
+        den = max(d_pq, d_qp)
+        h.append(1.0 if den <= 0.0 else d_pq / den)
+    return (*h, min(chain.r[-1], 1.0))
 
 
 def definitional_blockwise_h(trace):
@@ -152,14 +172,38 @@ def test_one_pass_sums_equal_the_definitional_sums_bit_for_bit():
     saw_all_zero_gaps = False
     for trace in exact_sum_traces():
         for t in range(trace.gamma):
-            a, b = capped_branch_masses(trace, t)
-            saw_all_zero_gaps |= a == b
+            gaps = capped_branch_masses(trace, t)
+            saw_all_zero_gaps |= not any(gaps)
             d = capped_branch_divergences(trace, t)
-            assert d.dstar_pq == math.fsum(max(ai - bi, 0.0) for ai, bi in zip(a, b))
-            assert d.dstar_qp == math.fsum(max(bi - ai, 0.0) for ai, bi in zip(a, b))
+            assert d.d_pq == math.fsum(max(g, 0.0) for g in gaps)
+            assert d.d_qp == math.fsum(max(-g, 0.0) for g in gaps)
         assert _capped_ratios(trace) == definitional_capped_ratios(trace)
         assert blockwise_acceptance_chain(trace) == definitional_blockwise_h(trace)
     assert saw_all_zero_gaps
+
+
+def test_naive_chain_is_the_capped_chain_at_cap_index_zero_bit_for_bit():
+    saw_excess_free_branch = False
+    for trace in exact_sum_traces():
+        assert naive_hsd_chain(trace) == definitional_naive_chain(trace)
+        p_cum, q_cum = joint_products(trace)
+        saw_excess_free_branch |= any(
+            all(p_cum[t] * px >= q_cum[t] * qx for px, qx in zip(trace.p_dists[t], trace.q_dists[t]))
+            and p_cum[t] != q_cum[t]
+            for t in range(1, trace.gamma)
+        )
+    assert saw_excess_free_branch
+
+
+def test_naive_accepts_a_branch_without_excess_silently(caplog):
+    # the branch after token 0 carries target joint 0.9 against draft joint 0.5:
+    # deficit 0.4, excess 0, so h_1 = 1; routine for naive-hsd, not worth a warning
+    trace = DraftTrace((), (0, 0), ((0.5, 0.5), (0.5, 0.5)), ((0.9, 0.1), (0.5, 0.5)), (0.5, 0.5))
+    assert capped_branch_divergences(trace, 1, 0) == (0.4, 0.0)
+    with caplog.at_level(logging.WARNING, logger="specverify.verify"):
+        h = naive_hsd_chain(trace)
+    assert h[0] == 1.0
+    assert not caplog.records
 
 
 def test_blockwise_recursion_matches_suffix_minimum():
