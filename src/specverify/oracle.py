@@ -8,7 +8,9 @@ to the output length, so every prefix is expanded once.  Comparing that
 yield against the target joint certifies or refutes losslessness to
 floating-point precision.  :func:`monte_carlo_fit` is the statistical
 fallback for configurations where enumeration is infeasible, such as
-multi-draft verification.
+multi-draft verification.  Each run of its trials (one serial fit, or one
+worker's chunk) keeps one bounded plan table, :func:`verify.plan_table`, so
+a trace it has seen before skips its chain and residual builds.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition its public sampler also reads.  Their ``mutate`` argument
@@ -43,6 +45,7 @@ from .verify import (
     tokenwise_verify,
     _capped_ratios,
     _single_draft_verify,
+    plan_table,
 )
 
 ENUMERATION_GUARD = 100_000
@@ -275,8 +278,9 @@ def _simulate_sequence(
 def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, master_seed: int, *run) -> Counter:
     """Tally the sequences ``trials`` generate; ``run`` is ``(verifier, gamma, length, k_drafts, mutate)``."""
     counts: Counter = Counter()
-    for trial in stream_run(master_seed, trials):
-        counts[_simulate_sequence(p_model, q_model, *run, substream(master_seed, trial))] += 1
+    with plan_table():
+        for trial in stream_run(master_seed, trials):
+            counts[_simulate_sequence(p_model, q_model, *run, substream(master_seed, trial))] += 1
     return counts
 
 
@@ -338,7 +342,8 @@ def monte_carlo_fit(
     if workers > 1:
         if max(p_model.n_prefixes(), q_model.n_prefixes()) > MAX_SERIALIZABLE_PREFIXES:
             raise ValueError(f"workers > 1 ship every prefix, over {MAX_SERIALIZABLE_PREFIXES} here; use workers=1")
-        bounds = [round(i * trials / workers) for i in range(workers + 1)]
+        chunks = min(workers, os.cpu_count() or 1)  # one chunk, plan table and model rebuild per process
+        bounds = [round(i * trials / chunks) for i in range(chunks + 1)]
         # (vocab, depth, every prefix's conditional) of p, then of q
         models = [(m.vocab_size, m.max_depth, {s: m.conditional(s) for s in m.prefixes()}) for m in (p_model, q_model)]
         payloads = [(models, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]

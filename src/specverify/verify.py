@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -265,12 +267,50 @@ def _capped_hsd_plan(trace: DraftTrace) -> Plan:
 # refills positions ``tau + 1 .. gamma`` one at a time from
 # ``naive_branch_residual``.  Plans, residuals and scans are called by their
 # module-level names, so whatever rebinds those names is seen by every caller.
+# A Monte Carlo run keeps one bounded plan table (plan_table) and builds each
+# distinct trace's plan once in it, so a rebinding is seen from the next run on.
 SINGLE_DRAFT = {
     "tokenwise": (_tokenwise_plan, "forward"),
     "naive-hsd": (_naive_hsd_plan, "backward"),
     "capped-hsd": (_capped_hsd_plan, "backward"),
 }
 SCANS = {"forward": forward_scan, "backward": backward_scan}
+
+PLAN_TABLE_CAP = 4_096  # plans one run's table stores; past it, a plan is built and not stored
+# the open run's table, (plan, trace) -> plan; a holder, not a parameter, so the verifiers keep their signatures
+_plans: dict | None = None
+
+
+@contextmanager
+def plan_table() -> Iterator[None]:
+    """Keep one bounded plan table for the enclosed run, dropped on exit, also on an exception.
+
+    Inside, the verifiers build each distinct trace's plan once, and each of
+    its residuals once per ``tau``.  A plan is a pure function of the trace,
+    which hashes by value, and building one draws no random numbers, so
+    sampled outcomes are bit-identical with or without the table.
+    """
+    global _plans
+    outer, _plans = _plans, {}
+    try:
+        yield
+    finally:
+        _plans = outer
+
+
+def _planned(plan: Callable[[DraftTrace], Plan], trace: DraftTrace) -> Plan:
+    """``plan(trace)``, from the open run's plan table if there is one."""
+    table = _plans
+    if table is None:
+        return plan(trace)
+    key = (plan, trace)  # the whole trace: a multidraft-hsd sub-trace can share its tokens and differ in p_dists[0]
+    found = table.get(key)
+    if found is None:
+        found = plan(trace)
+        if len(table) < PLAN_TABLE_CAP:
+            h, residual = found
+            found = table[key] = (h, None if residual is None else cache(residual))
+    return found
 
 
 def _single_draft_verify(
@@ -288,7 +328,7 @@ def _single_draft_verify(
     both models for its refill.
     """
     plan, scan = SINGLE_DRAFT[verifier]
-    h, residual = plan(trace)
+    h, residual = _planned(plan, trace)
     if transform is not None:
         h = transform(h)
     tau, events = SCANS[scan](h, rng)
@@ -386,7 +426,7 @@ def multidraft_hsd_verify(traces: list[DraftTrace], rng: np.random.Generator) ->
                 tuple(p_dists),
                 tr.bonus_dist,
             )
-        h, residual = _capped_hsd_plan(sub)
+        h, residual = _planned(_capped_hsd_plan, sub)
         base = tau
         t_local, scan_events = backward_scan(h, rng)
         if base == 0:

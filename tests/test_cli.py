@@ -309,6 +309,8 @@ def test_worker_pools_never_outnumber_their_jobs_or_the_cores(tmp_path, capsys, 
             return False
 
         def map(self, fn, payloads):
+            # here every command has at most as many jobs as cores: one payload per process
+            assert len(payloads) == sizes[-1]
             return map(fn, payloads)
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
@@ -316,7 +318,7 @@ def test_worker_pools_never_outnumber_their_jobs_or_the_cores(tmp_path, capsys, 
     runs = {  # command -> (argv, pool size for --workers 64)
         "oracle": (["oracle", "--vocab", "3", "--gamma", "2", "--pairs", "3"], 3),  # 3 pair jobs
         "bench": (["bench", "--vocab", "3,4", "--gamma", "2", "--eps", "0.5", "--trials", "50"], 2),  # 2 configs
-        "mc": (["mc", "--verifier", "tokenwise", "--trials", "10000"], 4),  # 64 chunks, 4 cores
+        "mc": (["mc", "--verifier", "tokenwise", "--trials", "10000"], 4),  # 4 chunks, one per core
     }
     for name, (argv, size) in runs.items():
         sizes.clear()

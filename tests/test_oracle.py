@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,8 +7,8 @@ from itertools import product
 
 import pytest
 
-from specverify import models, oracle
-from specverify.models import TableArModel, sample_draft, substream
+from specverify import models, oracle, verify
+from specverify.models import ModelPairSpec, TableArModel, generate_model_pair, sample_draft, substream
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
     YieldDistribution,
@@ -222,6 +223,89 @@ def test_a_fit_that_raises_leaves_no_stored_state(monkeypatch):
         monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
     assert len(trials) == 1_501 and max(trials) == 1024
     assert not models._stored
+
+
+# every single-draft verifier, healthy and h-double, and multidraft-hsd at K=3
+PLANNED_FITS = [(v, 1, m) for m in (None, "h-double") for v in SINGLE_DRAFT_VERIFIERS] + [("multidraft-hsd", 3, None)]
+
+
+@pytest.mark.parametrize("verifier, drafts, mutate", PLANNED_FITS)
+def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, drafts, mutate):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    trial_counts, tallies = oracle._trial_counts, []
+
+    def tallied(*args):
+        tallies.append(trial_counts(*args))
+        return tallies[-1]
+
+    monkeypatch.setattr(oracle, "_trial_counts", tallied)
+
+    def fit():
+        report = monte_carlo_fit(verifier, p, q, 2, 2, 10_000, 31, k_drafts=drafts, mutate=mutate)
+        return tallies[-1], report.to_dict()
+
+    stored = fit()
+    monkeypatch.setattr(verify, "PLAN_TABLE_CAP", 0)
+    assert fit() == stored
+    assert stored[1]["pass"] == (mutate is None)  # h-double is still caught
+
+
+def test_a_plan_table_never_outgrows_its_cap(monkeypatch):
+    p, q = pair_for(5, vocab=3, depth=4, eps=0.8)  # 27 drafts, more sub-traces
+    simulate, sizes = oracle._simulate_sequence, []
+    chain, builds = verify.capped_hsd_chain, []
+
+    def measured(*args):
+        seq = simulate(*args)
+        sizes.append(len(verify._plans))
+        return seq
+
+    def counted(trace):
+        builds.append(trace)
+        return chain(trace)
+
+    monkeypatch.setattr(oracle, "_simulate_sequence", measured)
+    monkeypatch.setattr(verify, "capped_hsd_chain", counted)
+    for cap in (verify.PLAN_TABLE_CAP, 5):
+        monkeypatch.setattr(verify, "PLAN_TABLE_CAP", cap)
+        sizes.clear(), builds.clear()
+        monte_carlo_fit("multidraft-hsd", p, q, 3, 3, 10_000, 32, k_drafts=3)
+        assert len(sizes) == 10_000 and max(sizes) <= cap
+        if cap == 5:  # full: every trace not stored is built again
+            assert max(sizes) == 5 and len(builds) > 1_000
+        else:  # room for all: each distinct trace is built once
+            assert len(builds) == max(sizes) == len(set(builds)) > 5
+
+
+def test_no_plan_table_outlives_its_fit(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
+    assert verify._plans is None
+    simulate, trials = oracle._simulate_sequence, []
+
+    def fails_at_1500(*args):
+        trials.append(len(verify._plans))
+        if len(trials) > 1_500:
+            raise RuntimeError("trial 1,500 failed")
+        return simulate(*args)
+
+    monkeypatch.setattr(oracle, "_simulate_sequence", fails_at_1500)
+    with pytest.raises(RuntimeError, match="1,500"):
+        monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
+    assert len(trials) == 1_501 and 0 < max(trials) <= 4
+    assert verify._plans is None
+
+
+def test_a_chain_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch):
+    p, q = generate_model_pair(ModelPairSpec(2, 3, 20_002, 0.8))
+    healthy = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 33)
+    chain = verify.capped_hsd_chain
+    monkeypatch.setattr(verify, "capped_hsd_chain", lambda trace: oracle._doubled(chain(trace)))
+    rebound = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 33)
+    monkeypatch.setattr(verify, "capped_hsd_chain", chain)
+    doubled = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 33, mutate="h-double")
+    assert healthy.passed and not rebound.passed
+    assert rebound == dataclasses.replace(doubled, mutate=None)
 
 
 def test_monte_carlo_workers_refuse_models_too_large_to_ship(monkeypatch):

@@ -45,12 +45,11 @@ def drive_exact_oracle(workload):
 
 
 def drive_mc_fit(workload):
-    # one fit at the 10^4-trial minimum, then a few hundred of each fit's trials
+    # every fit whole, at the 10^4-trial minimum: inside a fit the verifiers
+    # read the run's plan table, so each span has to fire on a table miss
     p, q = sv.generate_model_pair(sv.ModelPairSpec(2, 3, 3, workload.EPS))
-    sv.monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 5)
     for verifier, drafts, mutate in workload.FITS:
-        for trial in range(300):
-            sv.oracle._simulate_sequence(p, q, verifier, 2, 2, drafts, mutate, sv.substream(6, trial))
+        sv.monte_carlo_fit(verifier, p, q, 2, 2, 10_000, 5, k_drafts=drafts, mutate=mutate)
 
 
 def drive_expected_length(workload):
