@@ -180,6 +180,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown verifier {v!r}; oracle enumerates {SINGLE_DRAFT_VERIFIERS}")
     if args.mutate is not None and args.mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {args.mutate!r}")
+    if args.gamma < 1:
+        raise ValueError(f"--gamma must be >= 1, got {args.gamma}")
     length = args.length if args.length is not None else args.gamma
     depth = args.depth if args.depth is not None else max(args.gamma, length)
     if args.pairs < 1:
@@ -391,6 +393,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
         verifier = {"tokenwise": "multidraft-tokenwise", "capped-hsd": "multidraft-hsd"}[verifier]
     if args.drafts > 1 and verifier == "naive-hsd":
         raise ValueError("naive-hsd has no multi-draft variant")
+    if args.gamma < 1:
+        raise ValueError(f"--gamma must be >= 1, got {args.gamma}")
     length = args.length if args.length is not None else args.gamma
     depth = args.depth if args.depth is not None else max(length, args.gamma + 1)
     spec = ModelPairSpec(args.vocab, depth, derive_seed(args.seed, 0), args.eps, args.concentration)

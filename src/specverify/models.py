@@ -9,12 +9,15 @@ whose disagreement is controlled by a single scalar knob.
 Conditionals are produced lazily from the seed and memoised, which keeps the
 model semantically total over all prefixes while staying usable at depths
 where an explicit table would not fit in memory.
+Inside a :func:`draft_trie` run, :func:`sample_draft` walks the contexts
+drafted so far and hands back one stored trace per distinct draft.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
@@ -402,6 +405,47 @@ def trace_for(
     return DraftTrace(prefix, tokens, tuple(q_dists), tuple(p_dists), bonus)
 
 
+DRAFT_TRIE_CAP = 4_096  # nodes one run's trie stores; past it, a node is built and not stored
+# the open run's trie, (q, p, prefix) -> root and (node, token) -> child; a holder, as verify._plans is
+_trie: dict | None = None
+
+
+class _Node:
+    """A drafted context in a run's trie: the draft conditional at it, and the trace that ends at it."""
+
+    __slots__ = ("context", "q_dist", "trace")
+
+    def __init__(self, context: Sequence):
+        self.context, self.q_dist, self.trace = context, None, None
+
+
+def _node(trie: dict, key: tuple, context: Sequence) -> _Node:
+    """``trie[key]``, else a new node at ``context``, stored while the trie holds fewer than the cap."""
+    node = trie.get(key)
+    if node is None:
+        node = _Node(context)
+        if len(trie) < DRAFT_TRIE_CAP:
+            trie[key] = node
+    return node
+
+
+@contextmanager
+def draft_trie() -> Iterator[None]:
+    """Keep one bounded draft trie for the enclosed run, dropped on exit, also on an exception.
+
+    Inside, :func:`sample_draft` fetches each drafted context's conditional
+    once and hands back one stored trace per distinct draft.  It draws the
+    same uniforms and inverts the same conditionals, so sampled drafts are
+    bit-identical with or without the trie.
+    """
+    global _trie
+    outer, _trie = _trie, {}
+    try:
+        yield
+    finally:
+        _trie = outer
+
+
 def sample_draft(
     q: TableArModel,
     p: TableArModel,
@@ -414,6 +458,8 @@ def sample_draft(
     Records the full draft and target conditionals at every position (and the
     bonus target conditional when depth permits), which is exactly the
     information available to a verifier after one draft + one target pass.
+    Inside a :func:`draft_trie` run the conditionals come from the run's
+    trie, and a repeated draft returns the same trace object.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -422,12 +468,27 @@ def sample_draft(
     prefix = tuple(prefix)
     if len(prefix) + gamma > min(q.max_depth, p.max_depth):
         raise ValueError(f"prefix({len(prefix)}) + draft({gamma}) exceeds model depth")
+    trie = _trie
+    node = None if trie is None else _node(trie, (q, p, prefix), prefix)
     context = prefix
     q_dists, p_dists = [], []
     for _ in range(gamma):
-        q_dist = q.conditional(context)
-        q_dists.append(q_dist)
-        p_dists.append(p.conditional(context))
-        context = context + (index_from_uniform(q_dist, rng.random()),)
+        if node is None:  # no run: fetch this position's conditionals and keep them
+            q_dist = q.conditional(context)
+            q_dists.append(q_dist)
+            p_dists.append(p.conditional(context))
+        else:
+            q_dist = node.q_dist
+            if q_dist is None:
+                q_dist = node.q_dist = q.conditional(node.context)
+        tok = index_from_uniform(q_dist, rng.random())
+        if node is None:
+            context += (tok,)
+        else:
+            node = trie.get((node, tok)) or _node(trie, (node, tok), node.context + (tok,))
+    if node is not None:
+        if node.trace is None:
+            node.trace = trace_for(q, p, prefix, node.context[len(prefix):])
+        return node.trace
     bonus = p.conditional(context) if len(context) < p.max_depth else None
     return DraftTrace(prefix, context[len(prefix):], tuple(q_dists), tuple(p_dists), bonus)

@@ -9,8 +9,11 @@ yield against the target joint certifies or refutes losslessness to
 floating-point precision.  :func:`monte_carlo_fit` is the statistical
 fallback for configurations where enumeration is infeasible, such as
 multi-draft verification.  Each run of its trials (one serial fit, or one
-worker's chunk) keeps one bounded plan table, :func:`verify.plan_table`, so
-a trace it has seen before skips its chain and residual builds.
+worker's chunk) keeps two bounded stores, opened and dropped together: a
+plan table, :func:`verify.plan_table`, so a trace it has seen before skips
+its chain and residual builds, and a draft trie, :func:`models.draft_trie`,
+so a draft it has seen before is the same trace object, drawn without
+fetching conditionals again.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition its public sampler also reads.  Their ``mutate`` argument
@@ -34,7 +37,7 @@ import numpy as np
 
 from .divergence import joint_products
 from .models import MAX_SERIALIZABLE_PREFIXES, Sequence, TableArModel, sample_draft, sample_index, trace_for
-from .models import stream_run, substream
+from .models import draft_trie, stream_run, substream
 from .verify import (
     SINGLE_DRAFT,
     capped_hsd_verify,
@@ -157,6 +160,8 @@ def enumerate_yield(
     pushed through the naive branch residual out to ``gamma``.  All mass is
     then pushed through the target conditionals out to ``length``.
     """
+    if gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
     if verifier not in SINGLE_DRAFT_VERIFIERS:
         raise ValueError(f"unknown verifier {verifier!r}; expected one of {SINGLE_DRAFT_VERIFIERS}")
     _check_mutation(verifier, mutate, enumerated=True)
@@ -278,7 +283,7 @@ def _simulate_sequence(
 def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, master_seed: int, *run) -> Counter:
     """Tally the sequences ``trials`` generate; ``run`` is ``(verifier, gamma, length, k_drafts, mutate)``."""
     counts: Counter = Counter()
-    with plan_table():
+    with plan_table(), draft_trie():
         for trial in stream_run(master_seed, trials):
             counts[_simulate_sequence(p_model, q_model, *run, substream(master_seed, trial))] += 1
     return counts
@@ -323,6 +328,8 @@ def monte_carlo_fit(
     simulated sequence outside the target's support fails the fit with an
     infinite z and is reported as the worst sequence.
     """
+    if gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
     if trials < 10_000:
         raise ValueError(f"trials must be >= 10^4, got {trials}")
     if verifier not in SINGLE_DRAFT_VERIFIERS + MULTI_DRAFT_VERIFIERS:

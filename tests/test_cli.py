@@ -273,6 +273,15 @@ def test_mc_rejects_fewer_than_one_draft(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_gamma_below_one_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "report"
+    for argv in (["mc", "--gamma", "0", "--length", "1"], ["mc", "--gamma", "-1"], ["oracle", "--gamma", "0"]):
+        code, _, err = run(argv + ["--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE, argv
+        assert err == f"error: --gamma must be >= 1, got {argv[2]}\n", argv
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file, env var, usage errors
 # ---------------------------------------------------------------------------

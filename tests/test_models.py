@@ -175,6 +175,58 @@ def test_sample_draft_validates_depth_and_vocab(small_pair):
         sample_draft(q, other, (), 2, substream(0))
 
 
+@pytest.mark.parametrize("vocab", [2, 3, 8])
+def test_a_draft_trie_draws_the_traces_drawn_without_one(monkeypatch, vocab):
+    p, q = pair_for(61, vocab=vocab, depth=5, eps=0.8)
+    # gamma 0, 1 and 3 through one trie, from the root and from a non-empty
+    # prefix, for the pair and the pair with its roles swapped; (1, 0) + 3
+    # tokens reaches model depth, so those traces have no bonus
+    draws = [
+        (pair, prefix, gamma, i)
+        for pair in ((q, p), (p, q))
+        for prefix in ((), (1,), (1, 0))
+        for gamma in (0, 1, 3)
+        for i in range(60)
+    ]
+
+    def drawn():
+        return [sample_draft(*pair, prefix, gamma, substream(62, gamma, i)) for pair, prefix, gamma, i in draws]
+
+    with monkeypatch.context() as outside:
+        outside.setattr(models, "_Node", None)  # no run, no node
+        plain = drawn()
+    with models.draft_trie():
+        walked = drawn()
+        assert len(models._trie) > 0
+    assert walked == plain
+    assert any(trace.bonus_dist is None for trace in walked)
+    # a repeated draft is the one stored trace
+    first = {}
+    for (pair, *_), trace in zip(draws, walked):
+        assert first.setdefault((pair, trace.prefix, trace.tokens), trace) is trace
+    assert len(first) < len(walked)
+
+
+def test_sample_draft_raises_the_same_inside_a_run(small_pair):
+    p, q = small_pair
+    other = TableArModel(4, 4, generator=lambda prefix: (0.25, 0.25, 0.25, 0.25))
+    bad = [(q, p, (), -1), (q, other, (), 2), (q, p, (), 5), (q, p, (0, 1), 3)]
+
+    def messages():
+        found = []
+        for args in bad:
+            with pytest.raises(ValueError) as error:
+                sample_draft(*args, substream(0))
+            found.append(str(error.value))
+        return found
+
+    plain = messages()
+    with models.draft_trie():
+        assert messages() == plain
+        assert len(models._trie) == 0
+    assert [m.split()[0] for m in plain] == ["gamma", "vocab", "prefix(0)", "prefix(2)"]
+
+
 def test_trace_for_skips_bonus_at_full_depth(small_pair):
     p, q = small_pair
     trace = trace_for(q, p, (), (0, 1, 2, 0))

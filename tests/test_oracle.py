@@ -229,7 +229,7 @@ def test_a_fit_that_raises_leaves_no_stored_state(monkeypatch):
 PLANNED_FITS = [(v, 1, m) for m in (None, "h-double") for v in SINGLE_DRAFT_VERIFIERS] + [("multidraft-hsd", 3, None)]
 
 
-@pytest.mark.parametrize("verifier, drafts, mutate", PLANNED_FITS)
+@pytest.mark.parametrize("verifier, drafts, mutate", PLANNED_FITS + [("multidraft-tokenwise", 3, None)])
 def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, drafts, mutate):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
     trial_counts, tallies = oracle._trial_counts, []
@@ -245,46 +245,60 @@ def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, draft
         return tallies[-1], report.to_dict()
 
     stored = fit()
+    trie_cap = models.DRAFT_TRIE_CAP
+    monkeypatch.setattr(models, "DRAFT_TRIE_CAP", 0)
+    assert fit() == stored  # no draft stored
     monkeypatch.setattr(verify, "PLAN_TABLE_CAP", 0)
-    assert fit() == stored
+    assert fit() == stored  # nothing stored
+    monkeypatch.setattr(models, "DRAFT_TRIE_CAP", trie_cap)
+    assert fit() == stored  # no plan stored
     assert stored[1]["pass"] == (mutate is None)  # h-double is still caught
 
 
 def test_a_plan_table_never_outgrows_its_cap(monkeypatch):
     p, q = pair_for(5, vocab=3, depth=4, eps=0.8)  # 27 drafts, more sub-traces
-    simulate, sizes = oracle._simulate_sequence, []
+    simulate, sizes, nodes = oracle._simulate_sequence, [], []
     chain, builds = verify.capped_hsd_chain, []
+    trace_for, drafts = models.trace_for, []
 
     def measured(*args):
         seq = simulate(*args)
         sizes.append(len(verify._plans))
+        nodes.append(len(models._trie))
         return seq
 
     def counted(trace):
         builds.append(trace)
         return chain(trace)
 
+    def assembled(q, p, prefix, tokens):
+        drafts.append(tokens)
+        return trace_for(q, p, prefix, tokens)
+
     monkeypatch.setattr(oracle, "_simulate_sequence", measured)
     monkeypatch.setattr(verify, "capped_hsd_chain", counted)
-    for cap in (verify.PLAN_TABLE_CAP, 5):
+    monkeypatch.setattr(models, "trace_for", assembled)
+    for cap, trie_cap in ((verify.PLAN_TABLE_CAP, models.DRAFT_TRIE_CAP), (5, 5)):
         monkeypatch.setattr(verify, "PLAN_TABLE_CAP", cap)
-        sizes.clear(), builds.clear()
+        monkeypatch.setattr(models, "DRAFT_TRIE_CAP", trie_cap)
+        sizes.clear(), builds.clear(), nodes.clear(), drafts.clear()
         monte_carlo_fit("multidraft-hsd", p, q, 3, 3, 10_000, 32, k_drafts=3)
-        assert len(sizes) == 10_000 and max(sizes) <= cap
-        if cap == 5:  # full: every trace not stored is built again
-            assert max(sizes) == 5 and len(builds) > 1_000
-        else:  # room for all: each distinct trace is built once
+        assert len(sizes) == len(nodes) == 10_000 and max(sizes) <= cap and max(nodes) <= trie_cap
+        if cap == 5:  # full: every trace or draft not stored is built again
+            assert max(sizes) == max(nodes) == 5 and len(builds) > 1_000 and len(drafts) > 1_000
+        else:  # room for all: each distinct trace is built once, each draft assembled once
             assert len(builds) == max(sizes) == len(set(builds)) > 5
+            assert len(drafts) == len(set(drafts)) == 27 and max(nodes) == 1 + 3 + 9 + 27
 
 
 def test_no_plan_table_outlives_its_fit(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
     monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
-    assert verify._plans is None
+    assert verify._plans is None and models._trie is None
     simulate, trials = oracle._simulate_sequence, []
 
     def fails_at_1500(*args):
-        trials.append(len(verify._plans))
+        trials.append((len(verify._plans), len(models._trie)))
         if len(trials) > 1_500:
             raise RuntimeError("trial 1,500 failed")
         return simulate(*args)
@@ -292,8 +306,9 @@ def test_no_plan_table_outlives_its_fit(monkeypatch):
     monkeypatch.setattr(oracle, "_simulate_sequence", fails_at_1500)
     with pytest.raises(RuntimeError, match="1,500"):
         monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
-    assert len(trials) == 1_501 and 0 < max(trials) <= 4
-    assert verify._plans is None
+    plans, nodes = zip(*trials)
+    assert len(trials) == 1_501 and 0 < max(plans) <= 4 and max(nodes) == 1 + 2 + 4
+    assert verify._plans is None and models._trie is None
 
 
 def test_a_chain_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch):
@@ -306,6 +321,31 @@ def test_a_chain_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch):
     doubled = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 33, mutate="h-double")
     assert healthy.passed and not rebound.passed
     assert rebound == dataclasses.replace(doubled, mutate=None)
+
+
+def test_a_conditional_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch):
+    p, q = generate_model_pair(ModelPairSpec(2, 3, 20_002, 0.8))
+    drafted = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 33)
+    monkeypatch.setattr(q, "conditional", p.conditional)  # the draft model now drafts from the target
+    rebound = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 33)
+    assert rebound != drafted
+    assert rebound == monte_carlo_fit("capped-hsd", p, p, 2, 2, 10_000, 33)
+
+
+def test_gamma_below_one_is_refused_before_any_work(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+
+    def no_work(*args):
+        raise AssertionError("work started before gamma was checked")
+
+    monkeypatch.setattr(oracle, "_trial_counts", no_work)
+    monkeypatch.setattr(oracle, "trace_for", no_work)
+    for gamma in (0, -1):
+        # gamma is named first, ahead of every other bad argument
+        with pytest.raises(ValueError, match=rf"^gamma must be >= 1, got {gamma}$"):
+            monte_carlo_fit("nonsense", p, q, gamma, -5, 10, 1, k_drafts=0)
+        with pytest.raises(ValueError, match=rf"^gamma must be >= 1, got {gamma}$"):
+            enumerate_yield("nonsense", p, q, gamma, -5)
 
 
 def test_monte_carlo_workers_refuse_models_too_large_to_ship(monkeypatch):
