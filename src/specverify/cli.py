@@ -183,7 +183,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.gamma < 1:
         raise ValueError(f"--gamma must be >= 1, got {args.gamma}")
     length = args.length if args.length is not None else args.gamma
-    depth = args.depth if args.depth is not None else max(args.gamma, length)
+    deepest = max(args.gamma, length)
+    depth = args.depth if args.depth is not None else deepest
+    if depth < deepest:
+        raise ValueError(f"--depth {depth} is shallower than the output length {deepest}")
     if args.pairs < 1:
         raise ValueError("need at least one model pair")
     # fail fast on bad model parameters before any work starts
@@ -312,6 +315,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not grid:
         raise ValueError("empty grid: --vocab, --gamma and --eps each need at least one value")
     for v, g, _ in grid:
+        if g < 1:
+            raise ValueError(f"--gamma must be >= 1, got {g}")
         if args.depth is not None and args.depth < g:
             raise ValueError(f"depth {args.depth} is shallower than gamma {g}")
         ModelPairSpec(v, g, 0, 0.0, args.concentration).validate()

@@ -201,9 +201,17 @@ def capped_branch_masses(trace: DraftTrace, t: int, mb: int | None = None) -> li
         raise ValueError(f"branch position {t} outside [0, {trace.gamma})")
     if mb is None:
         mb = ratio_chain(trace).m[t]
-    p_cum, q_cum = joint_products(trace)
-    hybrid, base_q = q_cum[mb] * (p_cum[t] / p_cum[mb]), q_cum[t]
+    hybrid, base_q = capped_scales(joint_products(trace), t, mb)
     return [hybrid * px - base_q * qx for px, qx in zip(trace.p_dists[t], trace.q_dists[t])]
+
+
+def capped_scales(cums: tuple[tuple[float, ...], tuple[float, ...]], t: int, mb: int) -> tuple[float, float]:
+    """The hybrid and draft joints that scale branch ``t``'s conditionals in its gap list, capped at ``mb``.
+
+    ``cums`` is :func:`joint_products` of the trace.
+    """
+    p_cum, q_cum = cums
+    return q_cum[mb] * (p_cum[t] / p_cum[mb]), q_cum[t]
 
 
 def capped_branch_divergences(trace: DraftTrace, t: int, mb: int | None = None) -> BranchDivergences:

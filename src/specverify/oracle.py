@@ -4,16 +4,20 @@
 full-length output sequence under a verifier.  Each draft deposits mass at
 what the verifier can emit, with scan decisions treated analytically (they
 are independent uniforms); the mass is then pushed one level at a time out
-to the output length, so every prefix is expanded once.  Comparing that
-yield against the target joint certifies or refutes losslessness to
-floating-point precision.  :func:`monte_carlo_fit` is the statistical
-fallback for configurations where enumeration is infeasible, such as
-multi-draft verification.  Each run of its trials (one serial fit, or one
-worker's chunk) keeps two bounded stores, opened and dropped together: a
-plan table, :func:`verify.plan_table`, so a trace it has seen before skips
-its chain and residual builds, and a draft trie, :func:`models.draft_trie`,
-so a draft it has seen before is the same trace object, drawn without
-fetching conditionals again.
+to the output length, so every prefix is expanded once.  Each call keeps
+one prefix table, :func:`verify.prefix_table`, dropped on exit, also on an
+exception: a branch of a chain and a residual drawn after a rejection
+depend only on the drafted prefix, so each is built once per prefix, not
+once per draft.  Comparing that yield against the target joint certifies
+or refutes losslessness to floating-point precision.
+:func:`monte_carlo_fit` is the statistical fallback for configurations
+where enumeration is infeasible, such as multi-draft verification.  Each
+run of its trials (one serial fit, or one worker's chunk) keeps two
+bounded stores, opened and dropped together: a plan table,
+:func:`verify.plan_table`, so a trace it has seen before skips its chain
+and residual builds, and a draft trie, :func:`models.draft_trie`, so a
+draft it has seen before is the same trace object, drawn without fetching
+conditionals again.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition its public sampler also reads.  Their ``mutate`` argument
@@ -49,6 +53,7 @@ from .verify import (
     _capped_ratios,
     _single_draft_verify,
     plan_table,
+    prefix_table,
 )
 
 ENUMERATION_GUARD = 100_000
@@ -84,6 +89,8 @@ def target_joint_distribution(p_model: TableArModel, length: int) -> YieldDistri
     each probability is the product :meth:`TableArModel.joint` takes, in the
     same order, so the two agree bit for bit.
     """
+    if length > p_model.max_depth:
+        raise ValueError(f"length {length} exceeds the target model's depth {p_model.max_depth}")
     if p_model.vocab_size**length > ENUMERATION_GUARD:
         raise ValueError(f"{p_model.vocab_size}^{length} sequences exceed the enumeration guard")
     levels = [{(): 1.0}] + [defaultdict(float) for _ in range(length)]
@@ -180,28 +187,33 @@ def enumerate_yield(
     # refills (naive-hsd), levels below gamma hold the contexts it resamples
     levels: list[dict[Sequence, float]] = [defaultdict(float) for _ in range(L + 1)]
     refill = False
-    for draft in product(range(vocab), repeat=gamma):
-        trace = trace_for(q_model, p_model, (), draft)
-        q_joint = joint_products(trace)[1][gamma]
-        if q_joint == 0.0:
-            continue
-        h, residual = plan(trace)
-        refill = residual is None
-        if mutate == "h-double":
-            h = _doubled(h)
-        elif mutate == "unclamp":
-            h = _capped_ratios(trace)
-        for tau, pr_tau in enumerate(tau_law(h)):
-            weight = q_joint * pr_tau
-            if weight == 0.0:
+    with prefix_table() as residuals:
+        for draft in product(range(vocab), repeat=gamma):
+            trace = trace_for(q_model, p_model, (), draft)
+            q_joint = joint_products(trace)[1][gamma]
+            if q_joint == 0.0:
                 continue
-            if tau == gamma or refill:
-                levels[tau][draft[:tau]] += weight
-                continue
-            nxt = levels[tau + 1]
-            for tok, pr in enumerate(residual(tau)):
-                if pr > 0.0:
-                    nxt[draft[:tau] + (tok,)] += weight * pr
+            h, residual = plan(trace)
+            refill = residual is None
+            if mutate == "h-double":
+                h = _doubled(h)
+            elif mutate == "unclamp":
+                h = _capped_ratios(trace)
+            for tau, pr_tau in enumerate(tau_law(h)):
+                weight = q_joint * pr_tau
+                if weight == 0.0:
+                    continue
+                stem = draft[:tau]
+                if tau == gamma or refill:
+                    levels[tau][stem] += weight
+                    continue
+                children = residuals.get(stem)
+                if children is None:  # residual(tau) depends on stem alone: one build per stem
+                    dist = residual(tau)
+                    children = residuals[stem] = [(stem + (tok,), pr) for tok, pr in enumerate(dist) if pr > 0.0]
+                nxt = levels[tau + 1]
+                for child, pr in children:
+                    nxt[child] += weight * pr
 
     start = 0
     if refill:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .divergence import branch_gaps, capped_branch_masses, ratio_chain
+from .divergence import branch_gaps, capped_branch_masses, capped_scales, joint_products, ratio_chain
 from .models import Dist, DraftTrace, Sequence, TableArModel, index_from_uniform
 
 logger = logging.getLogger(__name__)
@@ -153,13 +154,22 @@ def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list
     """Unclamped ratios ``d_pq / d_qp`` (1 where ``d_qp == 0``) of branches t = 1 .. gamma - 1, capped at ``caps[t]``.
 
     The sums are those of ``capped_branch_divergences``, inline because every chain runs this loop.
+    Inside a :func:`prefix_table` they come from the table, built on a miss.
     ``warn`` logs a branch with excess 0 but deficit > 0: under the trace's own caps
     ``r_t <= r_{m_t}``, so only rounding gives that; uncapped, any ``r_t > 1`` can.
     """
+    table = getattr(_open, "branches", None)  # once per chain: outside a certificate this is all it costs
+    cums = None if table is None else joint_products(trace)
     h = []
     for t in range(1, trace.gamma):
-        gaps = capped_branch_masses(trace, t, caps[t])
-        d_pq, d_qp = math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0])
+        key = None if cums is None else (trace.p_dists[t], trace.q_dists[t], *capped_scales(cums, t, caps[t]))
+        sums = None if key is None else table.get(key)
+        if sums is None:
+            gaps = capped_branch_masses(trace, t, caps[t])
+            sums = math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0])
+            if key is not None:
+                table[key] = sums
+        d_pq, d_qp = sums
         if warn and d_qp <= 0.0 < d_pq:
             logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, d_pq)
         h.append(d_pq / d_qp if d_qp > 0.0 else 1.0)
@@ -265,7 +275,10 @@ def _capped_hsd_plan(trace: DraftTrace) -> Plan:
 # the acceptance chain, and ``residual(tau)``, the law of the token drawn
 # after a rejection at ``tau``.  ``residual`` is None for naive-hsd, which
 # refills positions ``tau + 1 .. gamma`` one at a time from
-# ``naive_branch_residual``.  Plans, residuals and scans are called by their
+# ``naive_branch_residual``.  For t < gamma, ``h[t - 1]`` and ``residual(t)``
+# depend only on the model pair, the trace's prefix and ``x_{1:t}``: every
+# draft that shares those gets them bit for bit, and the exact oracle's
+# prefix table relies on it.  Plans, residuals and scans are called by their
 # module-level names, so whatever rebinds those names is seen by every caller.
 # A Monte Carlo run keeps one bounded plan table (plan_table) and builds each
 # distinct trace's plan once in it, so a rebinding is seen from the next run on.
@@ -296,6 +309,31 @@ def plan_table() -> Iterator[None]:
         yield
     finally:
         _plans = outer
+
+
+_open = threading.local()  # .branches: the prefix table of this thread's open certificate, if any
+
+
+@contextmanager
+def prefix_table() -> Iterator[dict]:
+    """Open one prefix table for the enclosed certificate, dropped on exit, also on an exception.
+
+    Inside, naive-hsd's and capped-hsd's chains build each distinct branch's
+    sums once.  An entry is keyed by every operand of its gap list (the two
+    conditionals and the joints that scale them), so it is a pure function
+    of its key: a chain of any model pair or prefix is served only the sums
+    it would build itself.  The table is the opening thread's alone.
+
+    Yields an empty dict for the caller's residuals, ``draft[:tau] ->
+    residual(tau)``, which only a caller holding the pair, prefix and
+    verifier fixed can key by the drafted prefix (see SINGLE_DRAFT).
+    """
+    outer = getattr(_open, "branches", None)
+    _open.branches = {}
+    try:
+        yield {}
+    finally:
+        _open.branches = outer
 
 
 def _planned(plan: Callable[[DraftTrace], Plan], trace: DraftTrace) -> Plan:

@@ -1,10 +1,14 @@
 import hashlib
 import json
 
-from specverify import oracle
+from specverify import cli, oracle
 from specverify.cli import EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, main
 
 from conftest import stray_tokenwise
+
+
+def no_work(*args):
+    raise AssertionError("work started before the arguments were checked")
 
 
 def run(argv, capsys):
@@ -273,12 +277,32 @@ def test_mc_rejects_fewer_than_one_draft(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_gamma_below_one_is_a_usage_error(tmp_path, capsys):
+def test_gamma_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
     out_path = tmp_path / "report"
-    for argv in (["mc", "--gamma", "0", "--length", "1"], ["mc", "--gamma", "-1"], ["oracle", "--gamma", "0"]):
+    for argv, bad in (
+        (["mc", "--gamma", "0", "--length", "1"], 0),
+        (["mc", "--gamma", "-1"], -1),
+        (["oracle", "--gamma", "0"], 0),
+        (["bench", "--gamma", "0", "--depth", "2"], 0),  # named as gamma, not as a depth of 0
+        (["bench", "--gamma", "2,-1"], -1),
+    ):
         code, _, err = run(argv + ["--out", str(out_path)], capsys)
         assert code == EXIT_USAGE, argv
-        assert err == f"error: --gamma must be >= 1, got {argv[2]}\n", argv
+        assert err == f"error: --gamma must be >= 1, got {bad}\n", argv
+    assert not out_path.exists()
+
+
+def test_an_oracle_depth_shallower_than_its_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    out_path = tmp_path / "report"
+    for argv, length in (
+        (["oracle", "--vocab", "2", "--gamma", "2", "--depth", "1"], 2),
+        (["oracle", "--vocab", "2", "--gamma", "2", "--length", "3", "--depth", "2"], 3),
+    ):
+        code, _, err = run(argv + ["--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE, argv
+        assert err == f"error: --depth {argv[-1]} is shallower than the output length {length}\n", argv
     assert not out_path.exists()
 
 

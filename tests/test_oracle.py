@@ -1,14 +1,17 @@
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import struct
+import threading
 from itertools import product
 
 import pytest
 
 from specverify import models, oracle, verify
-from specverify.models import ModelPairSpec, TableArModel, generate_model_pair, sample_draft, substream
+from specverify.models import ModelPairSpec, TableArModel, generate_model_pair, sample_draft, substream, trace_for
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
     YieldDistribution,
@@ -332,6 +335,109 @@ def test_a_conditional_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch)
     assert rebound == monte_carlo_fit("capped-hsd", p, p, 2, 2, 10_000, 33)
 
 
+ENUMERATED_RUNS = [(v, m) for v in SINGLE_DRAFT_VERIFIERS for m in (None, "h-double")] + [("capped-hsd", "unclamp")]
+
+
+class StoresNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def open_branch_table():
+    return getattr(verify._open, "branches", None)
+
+
+@pytest.mark.parametrize("verifier, mutate", ENUMERATED_RUNS)
+def test_a_certificate_that_stores_no_prefixes_is_the_same_certificate(monkeypatch, verifier, mutate):
+    p, q = pair_for(3, vocab=3, depth=5, eps=1.0)
+    stored = [enumerate_yield(verifier, p, q, 3, length, mutate=mutate) for length in (3, 5)]
+
+    @contextlib.contextmanager
+    def storing_nothing():
+        outer, verify._open.branches = open_branch_table(), StoresNothing()
+        try:
+            yield StoresNothing()
+        finally:
+            verify._open.branches = outer
+
+    monkeypatch.setattr(oracle, "prefix_table", storing_nothing)
+    for length, certified in zip((3, 5), stored):
+        unstored = enumerate_yield(verifier, p, q, 3, length, mutate=mutate)
+        assert {k: v.hex() for k, v in unstored.probs.items()} == {k: v.hex() for k, v in certified.probs.items()}
+
+
+@pytest.mark.parametrize("verifier, mutate", ENUMERATED_RUNS)
+def test_a_certificate_builds_each_branch_and_residual_once_per_prefix(monkeypatch, verifier, mutate):
+    vocab, gamma = 3, 4
+    p, q = pair_for(4, vocab=vocab, depth=gamma, eps=1.0)
+    builds = collections.Counter()
+
+    def counted(name):
+        build = getattr(verify, name)
+
+        def counting(*args):
+            builds[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+
+    for name in ("capped_branch_masses", "tokenwise_residual", "capped_branch_residual"):
+        counted(name)
+    enumerate_yield(verifier, p, q, gamma, gamma, mutate=mutate)
+    branches = sum(vocab**t for t in range(1, gamma))  # one per drafted prefix x_{1:t}, 1 <= t < gamma
+    stems = sum(vocab**t for t in range(gamma))  # a residual at each x_{1:tau}, tau < gamma
+    residuals = builds["tokenwise_residual"] + builds["capped_branch_residual"]
+    assert residuals <= stems
+    assert builds["capped_branch_masses"] <= (0 if verifier == "tokenwise" else branches) + residuals
+    assert (builds["capped_branch_masses"] > 0) == (verifier != "tokenwise")
+
+
+def test_no_prefix_table_outlives_its_certificate(monkeypatch):
+    p, q = pair_for(5, vocab=3, depth=3, eps=0.8)
+    enumerate_yield("capped-hsd", p, q, 3)
+    assert open_branch_table() is None
+    plan, scan = verify.SINGLE_DRAFT["capped-hsd"]
+    sizes = []
+
+    def fails_at_draft_20(trace):
+        sizes.append(len(open_branch_table()))
+        if len(sizes) == 20:
+            raise RuntimeError("draft 20 failed")
+        return plan(trace)
+
+    monkeypatch.setitem(verify.SINGLE_DRAFT, "capped-hsd", (fails_at_draft_20, scan))
+    with pytest.raises(RuntimeError, match="draft 20"):
+        enumerate_yield("capped-hsd", p, q, 3)
+    assert len(sizes) == 20 and 0 < max(sizes) <= 3 + 9
+    assert open_branch_table() is None
+
+
+def test_a_chain_inside_an_open_prefix_table_is_the_chain_outside_it():
+    chains = (verify.naive_hsd_chain, verify.capped_hsd_chain, verify._capped_ratios)
+    pairs = [pair_for(seed, vocab=3, depth=4, eps=1.0) for seed in (6, 7)]
+    drafts = list(product(range(3), repeat=3))
+
+    def every_chain(p, q):
+        return [chain(trace_for(q, p, (), draft)) for draft in drafts for chain in chains]
+
+    outside = [every_chain(p, q) for p, q in pairs]
+    seen_from_a_thread = []
+    with verify.prefix_table():
+        assert every_chain(*pairs[0]) == outside[0]
+        filled = len(open_branch_table())
+        # the other pair drafts the same tokens: an entry keyed by its prefix alone would serve it the wrong sums
+        assert every_chain(*pairs[1]) == outside[1]
+        assert len(open_branch_table()) > filled
+        filled = len(open_branch_table())
+        thread = threading.Thread(target=lambda: seen_from_a_thread.append((open_branch_table(), every_chain(*pairs[1]))))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(open_branch_table()) == filled  # the thread's chains neither read nor grew it
+    assert seen_from_a_thread == [(None, outside[1])]
+    assert open_branch_table() is None
+
+
 def test_gamma_below_one_is_refused_before_any_work(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
 
@@ -346,6 +452,13 @@ def test_gamma_below_one_is_refused_before_any_work(monkeypatch):
             monte_carlo_fit("nonsense", p, q, gamma, -5, 10, 1, k_drafts=0)
         with pytest.raises(ValueError, match=rf"^gamma must be >= 1, got {gamma}$"):
             enumerate_yield("nonsense", p, q, gamma, -5)
+
+
+def test_a_target_joint_deeper_than_its_model_is_refused():
+    p, _ = pair_for(5, vocab=2, depth=1, eps=0.8)
+    assert target_joint_distribution(p, 1).total() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=r"^length 2 exceeds the target model's depth 1$"):
+        target_joint_distribution(p, 2)
 
 
 def test_monte_carlo_workers_refuse_models_too_large_to_ship(monkeypatch):

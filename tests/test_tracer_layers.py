@@ -4,7 +4,8 @@ A traced benchmark run fails when a function it lists is missing, or when a
 span a workload expects never fires (say, because a caller stopped going
 through the module-level name the tracer wraps).  Both show up here first:
 the layer list is checked by name, and each workload's verifiers are driven
-at toy size under the tracer without running the benchmark harness.
+under the tracer without running the benchmark harness: the exact oracle
+by the workload's own ops, the others at toy size.
 """
 
 import importlib
@@ -38,10 +39,12 @@ def test_every_traced_layer_exists():
 
 
 def drive_exact_oracle(workload):
-    p, q = sv.generate_model_pair(sv.ModelPairSpec(2, 2, 3, workload.EPS))
-    target = sv.target_joint_distribution(p, 2)
-    for verifier in sv.oracle.SINGLE_DRAFT_VERIFIERS:
-        sv.total_variation(sv.enumerate_yield(verifier, p, q, 2, 2), target)
+    # the workload's own first chunk: one pair's three certificates and its
+    # h-double refutation, at its gamma of 5; inside a certificate the branch
+    # chains read its prefix table, so each span has to fire on a table miss
+    ops = workload(0)
+    for k in range(workload.chunk):
+        ops.run(k)
 
 
 def drive_mc_fit(workload):

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from specverify.divergence import capped_branch_divergences, capped_branch_masse
 from specverify.models import DraftTrace, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
+    SINGLE_DRAFT,
     _capped_ratios,
     backward_scan,
     blockwise_acceptance_chain,
@@ -227,6 +229,31 @@ def test_capped_chain_dominates_blockwise_per_position():
 def test_reference_branch_chain_scans_to_length_four():
     tau, _ = backward_scan(REFERENCE_BRANCH_H, substream(36))
     assert tau == 4
+
+
+def bits_or_error(build):
+    """The bit patterns of ``build()``'s floats, or the message of the ValueError it raises."""
+    try:
+        return tuple(v.hex() for v in build())
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("verifier", SINGLE_DRAFT)
+def test_every_chain_entry_and_residual_below_gamma_depends_on_the_drafted_prefix_alone(verifier):
+    # the SINGLE_DRAFT contract the exact oracle's prefix table relies on, over every draft of V=3, gamma=4
+    plan, gamma = SINGLE_DRAFT[verifier][0], 4
+    for seed, eps in ((0, 1.0), (1, 0.5), (2, 2.0)):
+        p, q = pair_for(seed, vocab=3, depth=gamma + 1, eps=eps)
+        seen, stems = {}, set()
+        for draft in product(range(3), repeat=gamma):
+            h, residual = plan(trace_for(q, p, (), draft))
+            for t in range(gamma):
+                entry = h[t - 1].hex() if t > 0 else None
+                got = (entry, None if residual is None else bits_or_error(lambda: residual(t)))
+                assert seen.setdefault(draft[:t], got) == got, (seed, draft, t)
+                stems.add(draft[:t])
+        assert len(stems) == sum(3**t for t in range(gamma))
 
 
 # ---------------------------------------------------------------------------
