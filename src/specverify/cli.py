@@ -171,6 +171,16 @@ def _oracle_pair_job(payload: dict) -> list[dict]:
     return reports
 
 
+def _output_length(args: argparse.Namespace) -> int:
+    """``--length``, by default ``--gamma``; refused before any work when either is out of range."""
+    if args.gamma < 1:
+        raise ValueError(f"--gamma must be >= 1, got {args.gamma}")
+    length = args.length if args.length is not None else args.gamma
+    if length < args.gamma:
+        raise ValueError(f"--length {length} is shorter than --gamma {args.gamma}")
+    return length
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     verifiers = [v.strip() for v in args.verifiers.split(",") if v.strip()]
     if not verifiers:
@@ -180,13 +190,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown verifier {v!r}; oracle enumerates {SINGLE_DRAFT_VERIFIERS}")
     if args.mutate is not None and args.mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {args.mutate!r}")
-    if args.gamma < 1:
-        raise ValueError(f"--gamma must be >= 1, got {args.gamma}")
-    length = args.length if args.length is not None else args.gamma
-    deepest = max(args.gamma, length)
-    depth = args.depth if args.depth is not None else deepest
-    if depth < deepest:
-        raise ValueError(f"--depth {depth} is shallower than the output length {deepest}")
+    length = _output_length(args)
+    depth = args.depth if args.depth is not None else length
+    if depth < length:
+        raise ValueError(f"--depth {depth} is shallower than the output length {length}")
     if args.pairs < 1:
         raise ValueError("need at least one model pair")
     # fail fast on bad model parameters before any work starts
@@ -398,9 +405,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         verifier = {"tokenwise": "multidraft-tokenwise", "capped-hsd": "multidraft-hsd"}[verifier]
     if args.drafts > 1 and verifier == "naive-hsd":
         raise ValueError("naive-hsd has no multi-draft variant")
-    if args.gamma < 1:
-        raise ValueError(f"--gamma must be >= 1, got {args.gamma}")
-    length = args.length if args.length is not None else args.gamma
+    length = _output_length(args)
     depth = args.depth if args.depth is not None else max(length, args.gamma + 1)
     spec = ModelPairSpec(args.vocab, depth, derive_seed(args.seed, 0), args.eps, args.concentration)
     p_model, q_model = generate_model_pair(spec)

@@ -9,14 +9,16 @@ whose disagreement is controlled by a single scalar knob.
 Conditionals are produced lazily from the seed and memoised, which keeps the
 model semantically total over all prefixes while staying usable at depths
 where an explicit table would not fit in memory.
-Inside a :func:`draft_trie` run, :func:`sample_draft` walks the contexts
-drafted so far and hands back one stored trace per distinct draft.
+Inside a :func:`run_memo`, the one store of a run, :func:`sample_draft`
+walks the contexts drafted so far and hands back one stored trace per
+distinct draft.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -405,9 +407,44 @@ def trace_for(
     return DraftTrace(prefix, tokens, tuple(q_dists), tuple(p_dists), bonus)
 
 
-DRAFT_TRIE_CAP = 4_096  # nodes one run's trie stores; past it, a node is built and not stored
-# the open run's trie, (q, p, prefix) -> root and (node, token) -> child; a holder, as verify._plans is
-_trie: dict | None = None
+RUN_MEMO_CAP = 8_192  # entries one Monte Carlo run's memo stores; past it, a value is built and not stored
+
+
+class _Run(threading.local):
+    """This thread's open run: its memo, or None outside a run, and the number of entries it may store."""
+
+    memo: dict | None = None
+    cap = 0
+
+
+_run = _Run()
+
+
+@contextmanager
+def run_memo(cap: int) -> Iterator[None]:
+    """Keep one memo for the enclosed run, in this thread alone, dropped on exit, also on an exception.
+
+    While the memo holds fewer than ``cap`` entries, a value that is a pure
+    function of its key is stored by that key: draft trie nodes by
+    ``(q, p, prefix)`` and ``(node, token)``, plans by ``(plan, trace)`` and
+    branch sums by ``(p_dist, q_dist, hybrid, base_q)``.  Each key holds every
+    operand of its value, so one memo serves every pair and prefix only its
+    own values, and outcomes are bit-identical with or without it.
+    """
+    outer = _run.memo, _run.cap
+    _run.memo, _run.cap = {}, cap
+    try:
+        yield
+    finally:
+        _run.memo, _run.cap = outer
+
+
+def remember(key, value):
+    """``value``, stored under ``key`` while this thread's open run memo holds fewer entries than its cap."""
+    memo = _run.memo
+    if memo is not None and len(memo) < _run.cap:
+        memo[key] = value
+    return value
 
 
 class _Node:
@@ -417,33 +454,6 @@ class _Node:
 
     def __init__(self, context: Sequence):
         self.context, self.q_dist, self.trace = context, None, None
-
-
-def _node(trie: dict, key: tuple, context: Sequence) -> _Node:
-    """``trie[key]``, else a new node at ``context``, stored while the trie holds fewer than the cap."""
-    node = trie.get(key)
-    if node is None:
-        node = _Node(context)
-        if len(trie) < DRAFT_TRIE_CAP:
-            trie[key] = node
-    return node
-
-
-@contextmanager
-def draft_trie() -> Iterator[None]:
-    """Keep one bounded draft trie for the enclosed run, dropped on exit, also on an exception.
-
-    Inside, :func:`sample_draft` fetches each drafted context's conditional
-    once and hands back one stored trace per distinct draft.  It draws the
-    same uniforms and inverts the same conditionals, so sampled drafts are
-    bit-identical with or without the trie.
-    """
-    global _trie
-    outer, _trie = _trie, {}
-    try:
-        yield
-    finally:
-        _trie = outer
 
 
 def sample_draft(
@@ -458,8 +468,10 @@ def sample_draft(
     Records the full draft and target conditionals at every position (and the
     bonus target conditional when depth permits), which is exactly the
     information available to a verifier after one draft + one target pass.
-    Inside a :func:`draft_trie` run the conditionals come from the run's
-    trie, and a repeated draft returns the same trace object.
+    Inside a :func:`run_memo` the conditionals come from the run's trie of
+    drafted contexts, fetched once per context, and a repeated draft returns
+    the same trace object; the same uniforms invert the same conditionals, so
+    the drafts are bit-identical.  Outside a run nothing is stored.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -468,8 +480,8 @@ def sample_draft(
     prefix = tuple(prefix)
     if len(prefix) + gamma > min(q.max_depth, p.max_depth):
         raise ValueError(f"prefix({len(prefix)}) + draft({gamma}) exceeds model depth")
-    trie = _trie
-    node = None if trie is None else _node(trie, (q, p, prefix), prefix)
+    memo = _run.memo
+    node = None if memo is None else (memo.get((q, p, prefix)) or remember((q, p, prefix), _Node(prefix)))
     context = prefix
     q_dists, p_dists = [], []
     for _ in range(gamma):
@@ -485,7 +497,7 @@ def sample_draft(
         if node is None:
             context += (tok,)
         else:
-            node = trie.get((node, tok)) or _node(trie, (node, tok), node.context + (tok,))
+            node = memo.get((node, tok)) or remember((node, tok), _Node(node.context + (tok,)))
     if node is not None:
         if node.trace is None:
             node.trace = trace_for(q, p, prefix, node.context[len(prefix):])

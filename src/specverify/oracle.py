@@ -4,20 +4,20 @@
 full-length output sequence under a verifier.  Each draft deposits mass at
 what the verifier can emit, with scan decisions treated analytically (they
 are independent uniforms); the mass is then pushed one level at a time out
-to the output length, so every prefix is expanded once.  Each call keeps
-one prefix table, :func:`verify.prefix_table`, dropped on exit, also on an
-exception: a branch of a chain and a residual drawn after a rejection
-depend only on the drafted prefix, so each is built once per prefix, not
-once per draft.  Comparing that yield against the target joint certifies
-or refutes losslessness to floating-point precision.
+to the output length, so every prefix is expanded once.  A branch of a
+chain and a residual drawn after a rejection depend only on the drafted
+prefix, so each is built once per prefix, not once per draft: the branch
+sums in the call's run memo, :func:`models.run_memo`, and the residuals in
+a local dict.  Comparing that yield against the target joint certifies or
+refutes losslessness to floating-point precision.
 :func:`monte_carlo_fit` is the statistical fallback for configurations
 where enumeration is infeasible, such as multi-draft verification.  Each
-run of its trials (one serial fit, or one worker's chunk) keeps two
-bounded stores, opened and dropped together: a plan table,
-:func:`verify.plan_table`, so a trace it has seen before skips its chain
-and residual builds, and a draft trie, :func:`models.draft_trie`, so a
-draft it has seen before is the same trace object, drawn without fetching
-conditionals again.
+run of its trials (one serial fit, or one worker's chunk) keeps one run
+memo, capped at :data:`models.RUN_MEMO_CAP` entries: a draft it has seen
+before is the same trace object, drawn without fetching conditionals
+again, and a trace it has seen before skips its chain and residual builds.
+Either memo is the opening thread's alone and is dropped with the run,
+also on an exception.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition its public sampler also reads.  Their ``mutate`` argument
@@ -40,8 +40,8 @@ from itertools import product
 import numpy as np
 
 from .divergence import joint_products
-from .models import MAX_SERIALIZABLE_PREFIXES, Sequence, TableArModel, sample_draft, sample_index, trace_for
-from .models import draft_trie, stream_run, substream
+from .models import MAX_SERIALIZABLE_PREFIXES, RUN_MEMO_CAP, Sequence, TableArModel, run_memo, sample_draft
+from .models import sample_index, stream_run, substream, trace_for
 from .verify import (
     SINGLE_DRAFT,
     capped_hsd_verify,
@@ -52,8 +52,6 @@ from .verify import (
     tokenwise_verify,
     _capped_ratios,
     _single_draft_verify,
-    plan_table,
-    prefix_table,
 )
 
 ENUMERATION_GUARD = 100_000
@@ -187,7 +185,8 @@ def enumerate_yield(
     # refills (naive-hsd), levels below gamma hold the contexts it resamples
     levels: list[dict[Sequence, float]] = [defaultdict(float) for _ in range(L + 1)]
     refill = False
-    with prefix_table() as residuals:
+    residuals: dict[Sequence, list[tuple[Sequence, float]]] = {}  # draft[:tau] -> children of residual(tau)
+    with run_memo(ENUMERATION_GUARD):  # fewer branches than drafts: the guard never binds
         for draft in product(range(vocab), repeat=gamma):
             trace = trace_for(q_model, p_model, (), draft)
             q_joint = joint_products(trace)[1][gamma]
@@ -295,7 +294,7 @@ def _simulate_sequence(
 def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, master_seed: int, *run) -> Counter:
     """Tally the sequences ``trials`` generate; ``run`` is ``(verifier, gamma, length, k_drafts, mutate)``."""
     counts: Counter = Counter()
-    with plan_table(), draft_trie():
+    with run_memo(RUN_MEMO_CAP):
         for trial in stream_run(master_seed, trials):
             counts[_simulate_sequence(p_model, q_model, *run, substream(master_seed, trial))] += 1
     return counts
@@ -361,7 +360,7 @@ def monte_carlo_fit(
     if workers > 1:
         if max(p_model.n_prefixes(), q_model.n_prefixes()) > MAX_SERIALIZABLE_PREFIXES:
             raise ValueError(f"workers > 1 ship every prefix, over {MAX_SERIALIZABLE_PREFIXES} here; use workers=1")
-        chunks = min(workers, os.cpu_count() or 1)  # one chunk, plan table and model rebuild per process
+        chunks = min(workers, os.cpu_count() or 1)  # one chunk, run memo and model rebuild per process
         bounds = [round(i * trials / chunks) for i in range(chunks + 1)]
         # (vocab, depth, every prefix's conditional) of p, then of q
         models = [(m.vocab_size, m.max_depth, {s: m.conditional(s) for s in m.prefixes()}) for m in (p_model, q_model)]

@@ -11,6 +11,9 @@ acceptance is kept to chain depth, as the independent reference for
 capped-hsd.  Two multi-draft variants layer recursive rejection sampling
 with replacement on top of the tokenwise and capped verifiers.
 
+Inside a run memo (:func:`specverify.models.run_memo`) the samplers build
+each distinct trace's plan once, and the branch chains each branch's sums.
+
 Every verifier consumes one uniform per decision, drawn in scan order, so a
 trajectory can be replayed from its event log.  Branch and block sums
 ``fsum`` filtered gap lists: bit for bit the sums of ``max(gap, 0)``, for the
@@ -22,16 +25,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .divergence import branch_gaps, capped_branch_masses, capped_scales, joint_products, ratio_chain
-from .models import Dist, DraftTrace, Sequence, TableArModel, index_from_uniform
+from .models import Dist, DraftTrace, Sequence, TableArModel, _run, index_from_uniform, remember
 
 logger = logging.getLogger(__name__)
 
@@ -154,21 +155,21 @@ def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list
     """Unclamped ratios ``d_pq / d_qp`` (1 where ``d_qp == 0``) of branches t = 1 .. gamma - 1, capped at ``caps[t]``.
 
     The sums are those of ``capped_branch_divergences``, inline because every chain runs this loop.
-    Inside a :func:`prefix_table` they come from the table, built on a miss.
+    Inside a :func:`~specverify.models.run_memo` they come from the memo, built on a miss.
     ``warn`` logs a branch with excess 0 but deficit > 0: under the trace's own caps
     ``r_t <= r_{m_t}``, so only rounding gives that; uncapped, any ``r_t > 1`` can.
     """
-    table = getattr(_open, "branches", None)  # once per chain: outside a certificate this is all it costs
-    cums = None if table is None else joint_products(trace)
+    memo = _run.memo  # once per chain: outside a run this is all it costs
+    cums = None if memo is None else joint_products(trace)
     h = []
     for t in range(1, trace.gamma):
         key = None if cums is None else (trace.p_dists[t], trace.q_dists[t], *capped_scales(cums, t, caps[t]))
-        sums = None if key is None else table.get(key)
+        sums = None if key is None else memo.get(key)
         if sums is None:
             gaps = capped_branch_masses(trace, t, caps[t])
             sums = math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0])
             if key is not None:
-                table[key] = sums
+                remember(key, sums)
         d_pq, d_qp = sums
         if warn and d_qp <= 0.0 < d_pq:
             logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, d_pq)
@@ -277,11 +278,12 @@ def _capped_hsd_plan(trace: DraftTrace) -> Plan:
 # refills positions ``tau + 1 .. gamma`` one at a time from
 # ``naive_branch_residual``.  For t < gamma, ``h[t - 1]`` and ``residual(t)``
 # depend only on the model pair, the trace's prefix and ``x_{1:t}``: every
-# draft that shares those gets them bit for bit, and the exact oracle's
-# prefix table relies on it.  Plans, residuals and scans are called by their
-# module-level names, so whatever rebinds those names is seen by every caller.
-# A Monte Carlo run keeps one bounded plan table (plan_table) and builds each
-# distinct trace's plan once in it, so a rebinding is seen from the next run on.
+# draft that shares those gets them bit for bit, and the exact oracle keeps
+# each residual by drafted prefix on that ground.  Plans, residuals and scans
+# are called by their module-level names, so whatever rebinds those names is
+# seen by every caller.  Inside a run memo (models.run_memo) a Monte Carlo run
+# builds each distinct trace's plan once, so a rebinding is seen from the next
+# run on.
 SINGLE_DRAFT = {
     "tokenwise": (_tokenwise_plan, "forward"),
     "naive-hsd": (_naive_hsd_plan, "backward"),
@@ -289,65 +291,17 @@ SINGLE_DRAFT = {
 }
 SCANS = {"forward": forward_scan, "backward": backward_scan}
 
-PLAN_TABLE_CAP = 4_096  # plans one run's table stores; past it, a plan is built and not stored
-# the open run's table, (plan, trace) -> plan; a holder, not a parameter, so the verifiers keep their signatures
-_plans: dict | None = None
-
-
-@contextmanager
-def plan_table() -> Iterator[None]:
-    """Keep one bounded plan table for the enclosed run, dropped on exit, also on an exception.
-
-    Inside, the verifiers build each distinct trace's plan once, and each of
-    its residuals once per ``tau``.  A plan is a pure function of the trace,
-    which hashes by value, and building one draws no random numbers, so
-    sampled outcomes are bit-identical with or without the table.
-    """
-    global _plans
-    outer, _plans = _plans, {}
-    try:
-        yield
-    finally:
-        _plans = outer
-
-
-_open = threading.local()  # .branches: the prefix table of this thread's open certificate, if any
-
-
-@contextmanager
-def prefix_table() -> Iterator[dict]:
-    """Open one prefix table for the enclosed certificate, dropped on exit, also on an exception.
-
-    Inside, naive-hsd's and capped-hsd's chains build each distinct branch's
-    sums once.  An entry is keyed by every operand of its gap list (the two
-    conditionals and the joints that scale them), so it is a pure function
-    of its key: a chain of any model pair or prefix is served only the sums
-    it would build itself.  The table is the opening thread's alone.
-
-    Yields an empty dict for the caller's residuals, ``draft[:tau] ->
-    residual(tau)``, which only a caller holding the pair, prefix and
-    verifier fixed can key by the drafted prefix (see SINGLE_DRAFT).
-    """
-    outer = getattr(_open, "branches", None)
-    _open.branches = {}
-    try:
-        yield {}
-    finally:
-        _open.branches = outer
-
 
 def _planned(plan: Callable[[DraftTrace], Plan], trace: DraftTrace) -> Plan:
-    """``plan(trace)``, from the open run's plan table if there is one."""
-    table = _plans
-    if table is None:
+    """``plan(trace)``, from this thread's open run memo if there is one, with each residual built once per ``tau``."""
+    memo = _run.memo
+    if memo is None:
         return plan(trace)
     key = (plan, trace)  # the whole trace: a multidraft-hsd sub-trace can share its tokens and differ in p_dists[0]
-    found = table.get(key)
+    found = memo.get(key)
     if found is None:
-        found = plan(trace)
-        if len(table) < PLAN_TABLE_CAP:
-            h, residual = found
-            found = table[key] = (h, None if residual is None else cache(residual))
+        h, residual = plan(trace)
+        found = remember(key, (h, None if residual is None else cache(residual)))
     return found
 
 

@@ -306,6 +306,21 @@ def test_an_oracle_depth_shallower_than_its_output_is_a_usage_error(tmp_path, ca
     assert not out_path.exists()
 
 
+def test_a_length_below_gamma_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
+    out_path = tmp_path / "report"
+    for argv in (
+        ["oracle", "--vocab", "2", "--gamma", "3", "--length", "2"],
+        ["mc", "--vocab", "2", "--gamma", "3", "--length", "2"],
+        ["mc", "--gamma", "3", "--length", "2", "--drafts", "2"],
+    ):
+        code, _, err = run(argv + ["--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE, argv
+        assert err == "error: --length 2 is shorter than --gamma 3\n", argv
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file, env var, usage errors
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import threading
 from itertools import product
 
 import numpy as np
@@ -195,9 +196,13 @@ def test_a_draft_trie_draws_the_traces_drawn_without_one(monkeypatch, vocab):
     with monkeypatch.context() as outside:
         outside.setattr(models, "_Node", None)  # no run, no node
         plain = drawn()
-    with models.draft_trie():
+    for cap in (0, 5):  # no node stored; a trie full after its first five nodes
+        with models.run_memo(cap):
+            assert drawn() == plain
+            assert len(models._run.memo) == cap
+    with models.run_memo(models.RUN_MEMO_CAP):
         walked = drawn()
-        assert len(models._trie) > 0
+        assert 0 < len(models._run.memo) < models.RUN_MEMO_CAP
     assert walked == plain
     assert any(trace.bonus_dist is None for trace in walked)
     # a repeated draft is the one stored trace
@@ -221,10 +226,56 @@ def test_sample_draft_raises_the_same_inside_a_run(small_pair):
         return found
 
     plain = messages()
-    with models.draft_trie():
+    with models.run_memo(models.RUN_MEMO_CAP):
         assert messages() == plain
-        assert len(models._trie) == 0
+        assert len(models._run.memo) == 0
     assert [m.split()[0] for m in plain] == ["gamma", "vocab", "prefix(0)", "prefix(2)"]
+
+
+def test_runs_that_exit_out_of_order_on_two_threads_leave_no_run_open(small_pair):
+    p, q = small_pair
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def stored():
+        """Whether drawing one draft twice hands back one stored trace."""
+        first, again = (sample_draft(q, p, (), 3, substream(70)) for _ in range(2))
+        assert first == again
+        return first is again
+
+    def thread_a():
+        with models.run_memo(models.RUN_MEMO_CAP):
+            seen["a inside"] = stored()
+            a_open.set()
+            seen["a saw b open"] = b_open.wait(30)
+        a_closed.set()
+        seen["a after"] = models._run.memo, stored()
+
+    def thread_b():
+        seen["b saw a open"] = a_open.wait(30)
+        with models.run_memo(models.RUN_MEMO_CAP):
+            seen["b inside"] = stored()
+            b_open.set()
+            seen["b saw a closed"] = a_closed.wait(30)
+        seen["b after"] = models._run.memo, stored()
+
+    # A opens, then B opens, then A exits, then B exits
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {
+        "a inside": True,
+        "a saw b open": True,
+        "a after": (None, False),
+        "b saw a open": True,
+        "b inside": True,
+        "b saw a closed": True,
+        "b after": (None, False),
+    }
+    assert models._run.memo is None and not stored()
 
 
 def test_trace_for_skips_bonus_at_full_depth(small_pair):

@@ -1,5 +1,4 @@
 import collections
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -232,6 +231,19 @@ def test_a_fit_that_raises_leaves_no_stored_state(monkeypatch):
 PLANNED_FITS = [(v, 1, m) for m in (None, "h-double") for v in SINGLE_DRAFT_VERIFIERS] + [("multidraft-hsd", 3, None)]
 
 
+def open_runs_with_cap(monkeypatch, cap):
+    """Make every run memo the oracle opens store at most ``cap`` entries."""
+    monkeypatch.setattr(oracle, "run_memo", lambda _: models.run_memo(cap))
+
+
+def memo_kinds(memo):
+    """A run memo's entries counted by key shape: trie nodes, plans and branch sums."""
+    return collections.Counter(
+        "node" if isinstance(key[0], (TableArModel, models._Node)) else "plan" if len(key) == 2 else "sums"
+        for key in memo
+    )
+
+
 @pytest.mark.parametrize("verifier, drafts, mutate", PLANNED_FITS + [("multidraft-tokenwise", 3, None)])
 def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, drafts, mutate):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
@@ -248,26 +260,22 @@ def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, draft
         return tallies[-1], report.to_dict()
 
     stored = fit()
-    trie_cap = models.DRAFT_TRIE_CAP
-    monkeypatch.setattr(models, "DRAFT_TRIE_CAP", 0)
-    assert fit() == stored  # no draft stored
-    monkeypatch.setattr(verify, "PLAN_TABLE_CAP", 0)
-    assert fit() == stored  # nothing stored
-    monkeypatch.setattr(models, "DRAFT_TRIE_CAP", trie_cap)
-    assert fit() == stored  # no plan stored
+    for cap in (0, 5):  # nothing stored; a memo full after its first five entries
+        open_runs_with_cap(monkeypatch, cap)
+        assert fit() == stored
     assert stored[1]["pass"] == (mutate is None)  # h-double is still caught
 
 
-def test_a_plan_table_never_outgrows_its_cap(monkeypatch):
+def test_a_run_memo_never_outgrows_its_cap(monkeypatch):
     p, q = pair_for(5, vocab=3, depth=4, eps=0.8)  # 27 drafts, more sub-traces
-    simulate, sizes, nodes = oracle._simulate_sequence, [], []
+    simulate, sizes, memos = oracle._simulate_sequence, [], []
     chain, builds = verify.capped_hsd_chain, []
     trace_for, drafts = models.trace_for, []
 
     def measured(*args):
         seq = simulate(*args)
-        sizes.append(len(verify._plans))
-        nodes.append(len(models._trie))
+        sizes.append(len(models._run.memo))
+        memos.append(models._run.memo)
         return seq
 
     def counted(trace):
@@ -281,37 +289,38 @@ def test_a_plan_table_never_outgrows_its_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_simulate_sequence", measured)
     monkeypatch.setattr(verify, "capped_hsd_chain", counted)
     monkeypatch.setattr(models, "trace_for", assembled)
-    for cap, trie_cap in ((verify.PLAN_TABLE_CAP, models.DRAFT_TRIE_CAP), (5, 5)):
-        monkeypatch.setattr(verify, "PLAN_TABLE_CAP", cap)
-        monkeypatch.setattr(models, "DRAFT_TRIE_CAP", trie_cap)
-        sizes.clear(), builds.clear(), nodes.clear(), drafts.clear()
+    for cap in (models.RUN_MEMO_CAP, 5):
+        open_runs_with_cap(monkeypatch, cap)
+        sizes.clear(), memos.clear(), builds.clear(), drafts.clear()
         monte_carlo_fit("multidraft-hsd", p, q, 3, 3, 10_000, 32, k_drafts=3)
-        assert len(sizes) == len(nodes) == 10_000 and max(sizes) <= cap and max(nodes) <= trie_cap
+        assert len(sizes) == 10_000 and max(sizes) <= cap and len({id(memo) for memo in memos}) == 1
+        kinds = memo_kinds(memos[-1])
         if cap == 5:  # full: every trace or draft not stored is built again
-            assert max(sizes) == max(nodes) == 5 and len(builds) > 1_000 and len(drafts) > 1_000
+            assert max(sizes) == 5 and len(builds) > 1_000 and len(drafts) > 1_000
         else:  # room for all: each distinct trace is built once, each draft assembled once
-            assert len(builds) == max(sizes) == len(set(builds)) > 5
-            assert len(drafts) == len(set(drafts)) == 27 and max(nodes) == 1 + 3 + 9 + 27
+            assert len(builds) == kinds["plan"] == len(set(builds)) > 5 and kinds["sums"] > 0
+            assert len(drafts) == len(set(drafts)) == 27 and kinds["node"] == 1 + 3 + 9 + 27
 
 
-def test_no_plan_table_outlives_its_fit(monkeypatch):
+def test_no_run_memo_outlives_its_fit(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
     monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
-    assert verify._plans is None and models._trie is None
-    simulate, trials = oracle._simulate_sequence, []
+    assert models._run.memo is None
+    simulate, memos = oracle._simulate_sequence, []
 
     def fails_at_1500(*args):
-        trials.append((len(verify._plans), len(models._trie)))
-        if len(trials) > 1_500:
+        memos.append(models._run.memo)
+        if len(memos) > 1_500:
             raise RuntimeError("trial 1,500 failed")
         return simulate(*args)
 
     monkeypatch.setattr(oracle, "_simulate_sequence", fails_at_1500)
     with pytest.raises(RuntimeError, match="1,500"):
         monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
-    plans, nodes = zip(*trials)
-    assert len(trials) == 1_501 and 0 < max(plans) <= 4 and max(nodes) == 1 + 2 + 4
-    assert verify._plans is None and models._trie is None
+    kinds = memo_kinds(memos[-1])
+    assert len(memos) == 1_501 and len({id(memo) for memo in memos}) == 1
+    assert 0 < kinds["plan"] <= 4 and kinds["node"] == 1 + 2 + 4
+    assert models._run.memo is None and models._run.cap == 0
 
 
 def test_a_chain_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch):
@@ -338,32 +347,15 @@ def test_a_conditional_rebound_between_fits_is_seen_by_the_next_fit(monkeypatch)
 ENUMERATED_RUNS = [(v, m) for v in SINGLE_DRAFT_VERIFIERS for m in (None, "h-double")] + [("capped-hsd", "unclamp")]
 
 
-class StoresNothing(dict):
-    def __setitem__(self, key, value):
-        pass
-
-
-def open_branch_table():
-    return getattr(verify._open, "branches", None)
-
-
 @pytest.mark.parametrize("verifier, mutate", ENUMERATED_RUNS)
 def test_a_certificate_that_stores_no_prefixes_is_the_same_certificate(monkeypatch, verifier, mutate):
     p, q = pair_for(3, vocab=3, depth=5, eps=1.0)
     stored = [enumerate_yield(verifier, p, q, 3, length, mutate=mutate) for length in (3, 5)]
-
-    @contextlib.contextmanager
-    def storing_nothing():
-        outer, verify._open.branches = open_branch_table(), StoresNothing()
-        try:
-            yield StoresNothing()
-        finally:
-            verify._open.branches = outer
-
-    monkeypatch.setattr(oracle, "prefix_table", storing_nothing)
-    for length, certified in zip((3, 5), stored):
-        unstored = enumerate_yield(verifier, p, q, 3, length, mutate=mutate)
-        assert {k: v.hex() for k, v in unstored.probs.items()} == {k: v.hex() for k, v in certified.probs.items()}
+    for cap in (0, 5):  # no branch sum stored; a memo full after its first five
+        open_runs_with_cap(monkeypatch, cap)
+        for length, certified in zip((3, 5), stored):
+            unstored = enumerate_yield(verifier, p, q, 3, length, mutate=mutate)
+            assert {k: v.hex() for k, v in unstored.probs.items()} == {k: v.hex() for k, v in certified.probs.items()}
 
 
 @pytest.mark.parametrize("verifier, mutate", ENUMERATED_RUNS)
@@ -392,15 +384,15 @@ def test_a_certificate_builds_each_branch_and_residual_once_per_prefix(monkeypat
     assert (builds["capped_branch_masses"] > 0) == (verifier != "tokenwise")
 
 
-def test_no_prefix_table_outlives_its_certificate(monkeypatch):
+def test_no_run_memo_outlives_its_certificate(monkeypatch):
     p, q = pair_for(5, vocab=3, depth=3, eps=0.8)
     enumerate_yield("capped-hsd", p, q, 3)
-    assert open_branch_table() is None
+    assert models._run.memo is None
     plan, scan = verify.SINGLE_DRAFT["capped-hsd"]
     sizes = []
 
     def fails_at_draft_20(trace):
-        sizes.append(len(open_branch_table()))
+        sizes.append(len(models._run.memo))
         if len(sizes) == 20:
             raise RuntimeError("draft 20 failed")
         return plan(trace)
@@ -409,33 +401,45 @@ def test_no_prefix_table_outlives_its_certificate(monkeypatch):
     with pytest.raises(RuntimeError, match="draft 20"):
         enumerate_yield("capped-hsd", p, q, 3)
     assert len(sizes) == 20 and 0 < max(sizes) <= 3 + 9
-    assert open_branch_table() is None
+    assert models._run.memo is None and models._run.cap == 0
 
 
-def test_a_chain_inside_an_open_prefix_table_is_the_chain_outside_it():
+def test_a_value_inside_an_open_run_memo_is_the_value_outside_it():
     chains = (verify.naive_hsd_chain, verify.capped_hsd_chain, verify._capped_ratios)
     pairs = [pair_for(seed, vocab=3, depth=4, eps=1.0) for seed in (6, 7)]
     drafts = list(product(range(3), repeat=3))
 
-    def every_chain(p, q):
-        return [chain(trace_for(q, p, (), draft)) for draft in drafts for chain in chains]
+    def attempt(build, *args):
+        try:
+            return build(*args)
+        except ValueError as error:  # a degenerate residual raises the same inside a run
+            return str(error)
 
-    outside = [every_chain(p, q) for p, q in pairs]
+    def every_value(p, q):
+        traces = [trace_for(q, p, (), draft) for draft in drafts]
+        values = [chain(trace) for trace in traces for chain in chains]
+        for trace, (plan, _) in product(traces, verify.SINGLE_DRAFT.values()):
+            h, residual = verify._planned(plan, trace)
+            values.append((h, residual and [attempt(residual, tau) for tau in range(trace.gamma)]))
+        return values + [sample_draft(q, p, (), 3, substream(8, i)) for i in range(60)]
+
+    outside = [every_value(p, q) for p, q in pairs]
     seen_from_a_thread = []
-    with verify.prefix_table():
-        assert every_chain(*pairs[0]) == outside[0]
-        filled = len(open_branch_table())
-        # the other pair drafts the same tokens: an entry keyed by its prefix alone would serve it the wrong sums
-        assert every_chain(*pairs[1]) == outside[1]
-        assert len(open_branch_table()) > filled
-        filled = len(open_branch_table())
-        thread = threading.Thread(target=lambda: seen_from_a_thread.append((open_branch_table(), every_chain(*pairs[1]))))
+    with models.run_memo(models.RUN_MEMO_CAP):
+        assert every_value(*pairs[0]) == outside[0]
+        filled = memo_kinds(models._run.memo)
+        assert min(filled.values()) > 0
+        # the other pair drafts the same tokens: an entry keyed by its tokens alone would serve it the wrong values
+        assert every_value(*pairs[1]) == outside[1]
+        grown = memo_kinds(models._run.memo)
+        assert all(grown[kind] > filled[kind] for kind in ("node", "plan", "sums"))
+        thread = threading.Thread(target=lambda: seen_from_a_thread.append((models._run.memo, every_value(*pairs[1]))))
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert len(open_branch_table()) == filled  # the thread's chains neither read nor grew it
+        assert memo_kinds(models._run.memo) == grown  # the thread's values neither read nor grew it
     assert seen_from_a_thread == [(None, outside[1])]
-    assert open_branch_table() is None
+    assert models._run.memo is None
 
 
 def test_gamma_below_one_is_refused_before_any_work(monkeypatch):

@@ -5,7 +5,7 @@ span a workload expects never fires (say, because a caller stopped going
 through the module-level name the tracer wraps).  Both show up here first:
 the layer list is checked by name, and each workload's verifiers are driven
 under the tracer without running the benchmark harness: the exact oracle
-by the workload's own ops, the others at toy size.
+and mc-fit by the workload's own ops, expected-length at toy size.
 """
 
 import importlib
@@ -38,21 +38,14 @@ def test_every_traced_layer_exists():
     assert not missing, f"benchmarks/tracer.py LAYERS names functions that do not exist: {missing}"
 
 
-def drive_exact_oracle(workload):
-    # the workload's own first chunk: one pair's three certificates and its
-    # h-double refutation, at its gamma of 5; inside a certificate the branch
-    # chains read its prefix table, so each span has to fire on a table miss
+def drive_workload(workload):
+    # the workload's own first chunk: for the exact oracle, one pair's three
+    # certificates and its h-double refutation at its gamma of 5; for mc-fit,
+    # its seven fits.  Inside either, the branch chains (and a fit's
+    # verifiers) read the run memo, so each span has to fire on a memo miss
     ops = workload(0)
     for k in range(workload.chunk):
         ops.run(k)
-
-
-def drive_mc_fit(workload):
-    # every fit whole, at the 10^4-trial minimum: inside a fit the verifiers
-    # read the run's plan table, so each span has to fire on a table miss
-    p, q = sv.generate_model_pair(sv.ModelPairSpec(2, 3, 3, workload.EPS))
-    for verifier, drafts, mutate in workload.FITS:
-        sv.monte_carlo_fit(verifier, p, q, 2, 2, 10_000, 5, k_drafts=drafts, mutate=mutate)
 
 
 def drive_expected_length(workload):
@@ -67,8 +60,8 @@ def drive_expected_length(workload):
 def test_every_workload_fires_its_expected_spans():
     tracer_module, workloads = load("tracer"), load("workloads")
     drives = {
-        workloads.ExactOracle: drive_exact_oracle,
-        workloads.McFit: drive_mc_fit,
+        workloads.ExactOracle: drive_workload,
+        workloads.McFit: drive_workload,
         workloads.ExpectedLength: drive_expected_length,
     }
     assert set(drives) == set(workloads.WORKLOADS.values())
