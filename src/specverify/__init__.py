@@ -42,7 +42,6 @@ from .verify import (
     blockwise_acceptance_chain,
     capped_hsd_chain,
     capped_hsd_verify,
-    events_to_jsonl,
     expected_accept_length,
     multidraft_hsd_verify,
     multidraft_tokenwise_verify,
@@ -72,7 +71,6 @@ __all__ = [
     "capped_hsd_chain",
     "capped_hsd_verify",
     "enumerate_yield",
-    "events_to_jsonl",
     "expected_accept_length",
     "generalized_divergence",
     "generate_model_pair",

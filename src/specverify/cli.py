@@ -188,8 +188,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for v in verifiers:
         if v not in SINGLE_DRAFT_VERIFIERS:
             raise ValueError(f"unknown verifier {v!r}; oracle enumerates {SINGLE_DRAFT_VERIFIERS}")
-    if args.mutate is not None and args.mutate not in MUTATIONS:
-        raise ValueError(f"unknown mutation {args.mutate!r}")
     length = _output_length(args)
     depth = args.depth if args.depth is not None else length
     if depth < length:
@@ -561,10 +559,14 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace) -> argparse.Na
         raise ValueError("config file must hold a JSON object")
     parser, subparsers = build_parser()
     sp = subparsers[args.command]
-    known = {a.dest for a in sp._actions}
-    unknown = set(overrides) - known
+    actions = {a.dest: a for a in sp._actions}
+    unknown = set(overrides) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():  # argparse checks choices on the command line only
+        choices = actions[key].choices
+        if choices is not None and value not in choices:
+            raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {list(choices)})")
     sp.set_defaults(**overrides)
     return parser.parse_args(argv)
 

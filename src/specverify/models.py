@@ -16,7 +16,6 @@ distinct draft.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from contextlib import contextmanager
@@ -36,10 +35,6 @@ _SEED_MASK = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _STREAM_LOGITS = 0
 _STREAM_NOISE = 1
-
-# Serialisation materialises every prefix; refuse anything that would not
-# reasonably fit in a JSON document.
-MAX_SERIALIZABLE_PREFIXES = 200_000
 
 
 # numpy's SeedSequence.generate_state hashes output word i with the pair
@@ -185,11 +180,6 @@ def index_from_uniform(dist: Dist, u: float) -> int:
     return last_positive
 
 
-def sample_index(dist: Dist, rng: np.random.Generator) -> int:
-    """Draw one token id from ``dist`` using a single uniform."""
-    return index_from_uniform(dist, rng.random())
-
-
 def _softmax(logits: np.ndarray) -> Dist:
     z = np.exp(logits - logits.max())
     values = z.tolist()
@@ -231,7 +221,7 @@ class TableArModel:
     next-token distribution, either stored explicitly or produced on demand
     by ``generator`` and cached.  Models are immutable after construction
     (the cache is an internal memo), so they are safe to share across
-    concurrent readers.
+    concurrent readers.  A model pickles, memo included, when its generator does.
     """
 
     def __init__(
@@ -301,32 +291,6 @@ class TableArModel:
         for length in range(self.max_depth):
             yield from product(range(self.vocab_size), repeat=length)
 
-    def n_prefixes(self) -> int:
-        return sum(self.vocab_size**length for length in range(self.max_depth))
-
-    def to_json(self) -> str:
-        """Serialise as ``{vocab_size, max_depth, table}`` with exact floats.
-
-        Keys are the prefix token arrays rendered as JSON; values round-trip
-        bit-exactly because floats are printed with shortest-repr precision.
-        """
-        if self.n_prefixes() > MAX_SERIALIZABLE_PREFIXES:
-            raise ValueError(
-                f"model with {self.n_prefixes()} prefixes is too large to serialise "
-                f"(limit {MAX_SERIALIZABLE_PREFIXES})"
-            )
-        table = {json.dumps(list(prefix)): list(self.conditional(prefix)) for prefix in self.prefixes()}
-        return json.dumps({"vocab_size": self.vocab_size, "max_depth": self.max_depth, "table": table})
-
-    @classmethod
-    def from_json(cls, doc: str) -> "TableArModel":
-        data = json.loads(doc)
-        table = {tuple(json.loads(key)): tuple(dist) for key, dist in data["table"].items()}
-        model = cls(data["vocab_size"], data["max_depth"], table=table)
-        if len(table) != model.n_prefixes():
-            raise ValueError(f"table has {len(table)} prefixes, expected {model.n_prefixes()}")
-        return model
-
 
 def generate_model_pair(spec: ModelPairSpec) -> tuple[TableArModel, TableArModel]:
     """Build the seeded (target, draft) pair described by ``spec``.
@@ -337,29 +301,35 @@ def generate_model_pair(spec: ModelPairSpec) -> tuple[TableArModel, TableArModel
     for a fixed seed, and a zero knob reproduces the target bit for bit.
     """
     spec.validate()
-    vocab, eps, conc, seed = spec.vocab_size, spec.divergence_knob, spec.concentration, spec.seed
+    p = TableArModel(spec.vocab_size, spec.max_depth, generator=_PairGenerator(spec))
+    q = TableArModel(spec.vocab_size, spec.max_depth, generator=_PairGenerator(spec, p))
+    return p, q
 
-    def logits_for(prefix: Sequence) -> np.ndarray:
-        rng = substream(seed, _STREAM_LOGITS, len(prefix), *prefix)
-        return conc * rng.standard_normal(vocab)
 
-    def target_gen(prefix: Sequence) -> Dist:
-        return _softmax(logits_for(prefix))
+class _PairGenerator:
+    """The conditionals of a generated pair: the target's, or with ``target`` set the draft's.
 
-    def draft_gen(prefix: Sequence) -> Dist:
-        logits = logits_for(prefix)
+    Unlike a closure it pickles, so a pair crosses a process boundary as its
+    spec and memo; pickled in one payload, a draft keeps its link to the target.
+    """
+
+    def __init__(self, spec: ModelPairSpec, target: TableArModel | None = None):
+        self.spec, self.target = spec, target
+
+    def __call__(self, prefix: Sequence) -> Dist:
+        spec, p = self.spec, self.target
+        rng = substream(spec.seed, _STREAM_LOGITS, len(prefix), *prefix)
+        logits = spec.concentration * rng.standard_normal(spec.vocab_size)
+        if p is None:
+            return _softmax(logits)
         # the target conditional comes from the same logits: keep it, so the
         # target never derives this prefix's stream a second time
         if prefix not in p._table:
             p._table[prefix] = p._check_dist(prefix, _softmax(logits))
-        if eps != 0.0:
-            noise = substream(seed, _STREAM_NOISE, len(prefix), *prefix).standard_normal(vocab)
-            logits = logits + eps * noise
+        if spec.divergence_knob != 0.0:
+            noise = substream(spec.seed, _STREAM_NOISE, len(prefix), *prefix).standard_normal(spec.vocab_size)
+            logits = logits + spec.divergence_knob * noise
         return _softmax(logits)
-
-    p = TableArModel(vocab, spec.max_depth, generator=target_gen)
-    q = TableArModel(vocab, spec.max_depth, generator=draft_gen)
-    return p, q
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,8 +40,8 @@ from itertools import product
 import numpy as np
 
 from .divergence import joint_products
-from .models import MAX_SERIALIZABLE_PREFIXES, RUN_MEMO_CAP, Sequence, TableArModel, run_memo, sample_draft
-from .models import sample_index, stream_run, substream, trace_for
+from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
+from .models import stream_run, substream, trace_for
 from .verify import (
     SINGLE_DRAFT,
     capped_hsd_verify,
@@ -287,7 +287,7 @@ def _simulate_sequence(
             outcome = multidraft_tokenwise_verify(traces, rng)
     seq = outcome.emitted[:length]
     while len(seq) < length:
-        seq = seq + (sample_index(p_model.conditional(seq), rng),)
+        seq = seq + (index_from_uniform(p_model.conditional(seq), rng.random()),)
     return seq
 
 
@@ -314,8 +314,7 @@ def pool_map(fn, payloads: list, workers: int) -> list:
 
 
 def _mc_chunk(payload: tuple) -> Counter:
-    models, *args = payload
-    return _trial_counts(*(TableArModel(*model) for model in models), *args)
+    return _trial_counts(*payload)
 
 
 def monte_carlo_fit(
@@ -337,7 +336,9 @@ def monte_carlo_fit(
     when every per-sequence count sits within 4-sigma binomial bounds and the
     empirical total variation stays under ``3 * sqrt(V**L / trials)``.  A
     simulated sequence outside the target's support fails the fit with an
-    infinite z and is reported as the worst sequence.
+    infinite z and is reported as the worst sequence.  With ``workers > 1``
+    each chunk pickles both models, so a model whose generator does not
+    pickle (a ``lambda``, say) raises pickle's own error there.
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
@@ -358,13 +359,9 @@ def monte_carlo_fit(
 
     run = (master_seed, verifier, gamma, length, k_drafts, mutate)
     if workers > 1:
-        if max(p_model.n_prefixes(), q_model.n_prefixes()) > MAX_SERIALIZABLE_PREFIXES:
-            raise ValueError(f"workers > 1 ship every prefix, over {MAX_SERIALIZABLE_PREFIXES} here; use workers=1")
-        chunks = min(workers, os.cpu_count() or 1)  # one chunk, run memo and model rebuild per process
+        chunks = min(workers, os.cpu_count() or 1)  # one chunk, run memo and model copy per process
         bounds = [round(i * trials / chunks) for i in range(chunks + 1)]
-        # (vocab, depth, every prefix's conditional) of p, then of q
-        models = [(m.vocab_size, m.max_depth, {s: m.conditional(s) for s in m.prefixes()}) for m in (p_model, q_model)]
-        payloads = [(models, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
+        payloads = [(p_model, q_model, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
         counts: Counter = Counter()
         for chunk in pool_map(_mc_chunk, payloads, workers):
             counts.update(chunk)

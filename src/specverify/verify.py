@@ -22,7 +22,6 @@ reason :func:`specverify.divergence._branch_sums` gives.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Callable, Iterable
@@ -45,15 +44,6 @@ class Event:
     kind: str  # accept | reject | resample | bonus
     prob: float | None = None
     u: float | None = None
-
-
-def events_to_jsonl(trial: int, events: tuple[Event, ...]) -> str:
-    """Render an event log as JSON lines for offline debugging."""
-    lines = [
-        json.dumps({"trial": trial, "position": e.position, "kind": e.kind, "h": e.prob, "u": e.u})
-        for e in events
-    ]
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True, slots=True)

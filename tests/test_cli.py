@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from specverify import cli, oracle
 from specverify.cli import EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, main
 
@@ -396,12 +398,22 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
     assert doc["config"]["verifiers"] == ["tokenwise"]
 
 
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("oracle", {"vocabulary": 3}, "unknown config keys"),
+        ("oracle", {"format": "xml"}, "config key 'format'"),  # choices bind in the file too
+        ("example", {"show": "bogus"}, "config key 'show'"),
+    ],
+    ids=["unknown-key", "oracle-format", "example-show"],
+)
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, command, overrides, message):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"vocabulary": 3}))
-    code, _, err = run(["oracle", "--config", str(config)], capsys)
+    config.write_text(json.dumps(overrides))
+    code, _, err = run([command, "--config", str(config), "--out", str(tmp_path / "out")], capsys)
     assert code == EXIT_USAGE
-    assert "unknown config keys" in err
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_output_dir_comes_from_the_environment(tmp_path, capsys, monkeypatch):

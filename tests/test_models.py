@@ -1,6 +1,6 @@
 import hashlib
-import json
 import math
+import pickle
 import struct
 import threading
 from itertools import product
@@ -285,22 +285,22 @@ def test_trace_for_skips_bonus_at_full_depth(small_pair):
     assert trace.gamma == 4
 
 
-def test_json_round_trip_is_value_exact(small_pair):
-    p, _ = small_pair
-    doc = p.to_json()
-    back = TableArModel.from_json(doc)
-    assert back.vocab_size == p.vocab_size and back.max_depth == p.max_depth
-    for prefix in p.prefixes():
-        assert back.conditional(prefix) == p.conditional(prefix)
-    # a second round trip produces the same document bytes
-    assert back.to_json() == doc
-
-
-def test_from_json_rejects_incomplete_tables():
-    data = json.loads(TableArModel(2, 2, generator=lambda prefix: (0.5, 0.5)).to_json())
-    del data["table"]["[0]"]
-    with pytest.raises(ValueError):
-        TableArModel.from_json(json.dumps(data))
+def test_a_pickled_pair_keeps_its_conditionals_and_its_link_to_the_target():
+    p, q = pair_for(13, vocab=4, depth=5)
+    q.conditional((1,))  # the copies carry what the memos hold
+    p2, q2 = pickle.loads(pickle.dumps((p, q)))
+    # a draft miss on the copy fills the copied target's memo, not the original's
+    miss = (2, 3, 0)
+    assert miss not in p._table and miss not in p2._table
+    q2.conditional(miss)
+    assert miss in p2._table and miss not in p._table
+    rng = np.random.default_rng(5)
+    prefixes = [(1,), miss] + [tuple(rng.integers(0, 4, size=n).tolist()) for n in range(5) for _ in range(3)]
+    for prefix in prefixes:
+        for copy, original in ((p2, p), (q2, q)):
+            assert struct.pack("4d", *copy.conditional(prefix)) == struct.pack("4d", *original.conditional(prefix))
+    explicit = TableArModel(2, 1, table={(): (0.25, 0.75)})
+    assert pickle.loads(pickle.dumps(explicit)).conditional(()) == (0.25, 0.75)
 
 
 def test_explicit_table_validation():

@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 from itertools import product
@@ -15,7 +14,6 @@ from specverify.verify import (
     blockwise_acceptance_chain,
     capped_hsd_chain,
     capped_hsd_verify,
-    events_to_jsonl,
     expected_accept_length,
     forward_scan,
     multidraft_hsd_verify,
@@ -500,20 +498,6 @@ def test_multidraft_tokenwise_two_drafts_exact_yield():
 # ---------------------------------------------------------------------------
 # event logs
 # ---------------------------------------------------------------------------
-
-
-def test_event_log_serialises_to_json_lines(small_pair):
-    p, q = small_pair
-    trace = sample_draft(q, p, (), 3, substream(65))
-    outcome = capped_hsd_verify(trace, substream(66))
-    lines = events_to_jsonl(7, outcome.events).splitlines()
-    assert len(lines) == len(outcome.events)
-    for line, event in zip(lines, outcome.events):
-        record = json.loads(line)
-        assert record["trial"] == 7
-        assert record["position"] == event.position
-        assert record["kind"] in {"accept", "reject", "resample", "bonus"}
-        assert set(record) == {"trial", "position", "kind", "h", "u"}
 
 
 def test_scan_uniforms_are_replayable_from_the_log(small_pair):
