@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .metrics import method_expected_tau, whole_draft_acceptance
@@ -58,56 +59,31 @@ ORDER_SLACK = 1e-10
 WHOLE_DRAFT_SLACK = 1e-12
 STRICT_GAP = 1e-9
 
-BENCH_COLUMNS = [
-    "method",
-    "vocab_size",
-    "gamma",
-    "eps",
-    "seed",
-    "n_drafts",
-    "mean_expected_tau",
-    "mean_block_efficiency",
-    "mean_whole_draft_accept",
-]
-ORACLE_COLUMNS = [
-    "verifier",
-    "vocab_size",
-    "gamma",
-    "length",
-    "seed",
-    "pair_index",
-    "tv",
-    "conservation",
-    "worst_sequence",
-    "worst_error",
-    "pass",
-]
-
-
 def derive_seed(master: int, *keys: int) -> int:
     """Stable 64-bit seed for a sub-experiment."""
     return int(seed_state(master, keys, 1)[0])
 
 
-def _resolve_out(out: str | None, default_name: str) -> Path:
-    if out:
-        return Path(out)
-    base = os.environ.get(ENV_OUT_DIR)
-    return Path(base) / default_name if base else Path(default_name)
+def _write_report(args: argparse.Namespace, stem: str, doc: dict, rows: list[dict]) -> Path:
+    """Write ``doc`` as JSON or ``rows`` as CSV (header: the first row's keys) to ``--out``.
 
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
-    return buf.getvalue()
+    The default path is ``<stem>.<format>`` in ``$SPECVERIFY_OUT_DIR``, or in the working directory.
+    """
+    if args.out:
+        out = Path(args.out)
+    else:
+        out = Path(os.environ.get(ENV_OUT_DIR, "")) / f"{stem}.{args.format}"
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+        text = buf.getvalue()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    return out
 
 
 def _cell(value) -> str:
@@ -131,21 +107,13 @@ def _float_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_pair_job(payload: dict) -> list[dict]:
-    spec = ModelPairSpec(
-        vocab_size=payload["vocab_size"],
-        max_depth=payload["depth"],
-        seed=payload["pair_seed"],
-        divergence_knob=payload["eps"],
-        concentration=payload["concentration"],
-    )
+def _oracle_pair_job(job: tuple[int, ModelPairSpec], gamma: int, length: int, verifiers: list[str], mutate) -> list:
+    pair_index, spec = job
     p_model, q_model = generate_model_pair(spec)
-    target = target_joint_distribution(p_model, payload["length"])
+    target = target_joint_distribution(p_model, length)
     reports = []
-    for verifier in payload["verifiers"]:
-        dist = enumerate_yield(
-            verifier, p_model, q_model, payload["gamma"], payload["length"], mutate=payload["mutate"]
-        )
+    for verifier in verifiers:
+        dist = enumerate_yield(verifier, p_model, q_model, gamma, length, mutate=mutate)
         tv = total_variation(dist, target)
         conservation = abs(dist.total() - 1.0)
         worst_seq, worst_err = (), 0.0
@@ -156,11 +124,11 @@ def _oracle_pair_job(payload: dict) -> list[dict]:
         reports.append(
             {
                 "verifier": verifier,
-                "vocab_size": payload["vocab_size"],
-                "gamma": payload["gamma"],
-                "length": payload["length"],
-                "seed": payload["pair_seed"],
-                "pair_index": payload["pair_index"],
+                "vocab_size": spec.vocab_size,
+                "gamma": gamma,
+                "length": length,
+                "seed": spec.seed,
+                "pair_index": pair_index,
                 "tv": tv,
                 "conservation": conservation,
                 "worst_sequence": list(worst_seq),
@@ -194,25 +162,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError(f"--depth {depth} is shallower than the output length {length}")
     if args.pairs < 1:
         raise ValueError("need at least one model pair")
-    # fail fast on bad model parameters before any work starts
-    ModelPairSpec(args.vocab, depth, 0, args.eps, args.concentration).validate()
-    payloads = [
-        {
-            "vocab_size": args.vocab,
-            "depth": depth,
-            "gamma": args.gamma,
-            "length": length,
-            "eps": args.eps,
-            "concentration": args.concentration,
-            "pair_seed": derive_seed(args.seed, pair_index),
-            "pair_index": pair_index,
-            "verifiers": verifiers,
-            "mutate": args.mutate,
-        }
-        for pair_index in range(args.pairs)
+    specs = [
+        ModelPairSpec(args.vocab, depth, derive_seed(args.seed, i), args.eps, args.concentration)
+        for i in range(args.pairs)
     ]
-    grouped = pool_map(_oracle_pair_job, payloads, args.workers)
-    reports = [report for group in grouped for report in group]
+    for spec in specs:
+        spec.validate()
+    job = partial(_oracle_pair_job, gamma=args.gamma, length=length, verifiers=verifiers, mutate=args.mutate)
+    reports = [report for group in pool_map(job, list(enumerate(specs)), args.workers) for report in group]
     all_pass = all(r["pass"] for r in reports)
     doc = {
         "command": "oracle",
@@ -233,11 +190,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "reports": reports,
         "all_pass": all_pass,
     }
-    out = _resolve_out(args.out, "oracle_report.json" if args.format == "json" else "oracle_report.csv")
-    if args.format == "json":
-        _write_text(out, json.dumps(doc, indent=2) + "\n")
-    else:
-        _write_text(out, _csv_text(ORACLE_COLUMNS, reports))
+    out = _write_report(args, "oracle_report", doc, reports)
     for r in reports:
         status = "pass" if r["pass"] else "FAIL"
         print(f"oracle {r['verifier']:>12s} pair {r['pair_index']:3d}  tv={r['tv']:.3e}  {status}")
@@ -250,19 +203,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bench_config_job(payload: dict) -> dict:
-    vocab, gamma, eps = payload["vocab_size"], payload["gamma"], payload["eps"]
-    spec = ModelPairSpec(vocab, payload["depth"] or gamma, payload["pair_seed"], eps, payload["concentration"])
+def _bench_config_job(job: tuple[int, int, ModelPairSpec], n: int, master_seed: int) -> tuple[list[dict], dict]:
+    """The three method rows of one grid configuration, and its ``summary.configs`` entry."""
+    index, gamma, spec = job
     p_model, q_model = generate_model_pair(spec)
-    n = payload["n_drafts"]
     taus = {"tokenwise": [], "blockwise": [], "hsd": []}
     wholes = {"tokenwise": [], "blockwise": [], "hsd": []}
     violations = 0
     block_below_token = 0  # allowed per trace: the ordering holds over drafts
     strict_branch_block = 0
     strict_block_token = 0
-    for draft_index in stream_run(payload["master_seed"], range(n), head=(payload["index"],)):
-        rng = substream(payload["master_seed"], payload["index"], draft_index)
+    for draft_index in stream_run(master_seed, range(n), head=(index,)):
+        rng = substream(master_seed, index, draft_index)
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         e_tok = method_expected_tau("tokenwise", trace)
         e_blk = method_expected_tau("blockwise", trace)
@@ -291,10 +243,10 @@ def _bench_config_job(payload: dict) -> dict:
     rows = [
         {
             "method": method,
-            "vocab_size": vocab,
+            "vocab_size": spec.vocab_size,
             "gamma": gamma,
-            "eps": eps,
-            "seed": payload["pair_seed"],
+            "eps": spec.divergence_knob,
+            "seed": spec.seed,
             "n_drafts": n,
             "mean_expected_tau": math.fsum(taus[method]) / n,
             "mean_block_efficiency": math.fsum(taus[method]) / n + 1.0,
@@ -302,14 +254,17 @@ def _bench_config_job(payload: dict) -> dict:
         }
         for method in ("tokenwise", "blockwise", "hsd")
     ]
-    return {
-        "index": payload["index"],
-        "rows": rows,
+    config = {
+        "index": index,
+        "vocab_size": spec.vocab_size,
+        "gamma": gamma,
+        "eps": spec.divergence_knob,
         "violations": violations,
         "block_below_token": block_below_token,
         "strict_branch_block": strict_branch_block / n,
         "strict_block_token": strict_block_token / n,
     }
+    return rows, config
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -319,72 +274,45 @@ def cmd_bench(args: argparse.Namespace) -> int:
     grid = [(v, g, e) for v in vocabs for g in gammas for e in epss]
     if not grid:
         raise ValueError("empty grid: --vocab, --gamma and --eps each need at least one value")
-    for v, g, _ in grid:
+    jobs = []
+    for i, (v, g, e) in enumerate(grid):
         if g < 1:
             raise ValueError(f"--gamma must be >= 1, got {g}")
         if args.depth is not None and args.depth < g:
             raise ValueError(f"depth {args.depth} is shallower than gamma {g}")
-        ModelPairSpec(v, g, 0, 0.0, args.concentration).validate()
-    payloads = [
-        {
-            "index": i,
-            "vocab_size": v,
-            "gamma": g,
-            "eps": e,
-            "depth": args.depth,
-            "concentration": args.concentration,
-            "n_drafts": args.trials,
-            "master_seed": args.seed,
-            "pair_seed": derive_seed(args.seed, i),
-        }
-        for i, (v, g, e) in enumerate(grid)
-    ]
-    results = pool_map(_bench_config_job, payloads, args.workers)
-    rows = [row for res in results for row in res["rows"]]
-    total_violations = sum(res["violations"] for res in results)
+        spec = ModelPairSpec(v, args.depth or g, derive_seed(args.seed, i), e, args.concentration)
+        spec.validate()
+        jobs.append((i, g, spec))
+    results = pool_map(partial(_bench_config_job, n=args.trials, master_seed=args.seed), jobs, args.workers)
+    rows = [row for res_rows, _ in results for row in res_rows]
+    configs = [config for _, config in results]
+    total_violations = sum(c["violations"] for c in configs)
     summary = {
-        "configs": [
-            {
-                "index": res["index"],
-                "vocab_size": grid[res["index"]][0],
-                "gamma": grid[res["index"]][1],
-                "eps": grid[res["index"]][2],
-                "violations": res["violations"],
-                "block_below_token": res["block_below_token"],
-                "strict_branch_block": res["strict_branch_block"],
-                "strict_block_token": res["strict_block_token"],
-            }
-            for res in results
-        ],
+        "configs": configs,
         "ordering_violations": total_violations,
-        "block_below_token": sum(res["block_below_token"] for res in results),
+        "block_below_token": sum(c["block_below_token"] for c in configs),
         "order_slack": ORDER_SLACK,
     }
-    out = _resolve_out(args.out, "bench_results.csv" if args.format == "csv" else "bench_results.json")
-    if args.format == "csv":
-        _write_text(out, _csv_text(BENCH_COLUMNS, rows))
-    else:
-        doc = {
-            "command": "bench",
-            "config": {
-                "vocab": vocabs,
-                "gamma": gammas,
-                "eps": epss,
-                "concentration": args.concentration,
-                "seed": args.seed,
-                "n_drafts": args.trials,
-            },
-            "rows": rows,
-            "summary": summary,
-        }
-        _write_text(out, json.dumps(doc, indent=2) + "\n")
-    for res in results:
-        v, g, e = grid[res["index"]]
+    doc = {
+        "command": "bench",
+        "config": {
+            "vocab": vocabs,
+            "gamma": gammas,
+            "eps": epss,
+            "concentration": args.concentration,
+            "seed": args.seed,
+            "n_drafts": args.trials,
+        },
+        "rows": rows,
+        "summary": summary,
+    }
+    out = _write_report(args, "bench_results", doc, rows)
+    for c in configs:
         print(
-            f"bench V={v:3d} gamma={g:3d} eps={e:4.2f}  violations={res['violations']}"
-            f"  block<token={res['block_below_token']}"
-            f"  strict(hsd>block)={res['strict_branch_block']:.3f}"
-            f"  strict(block>token)={res['strict_block_token']:.3f}"
+            f"bench V={c['vocab_size']:3d} gamma={c['gamma']:3d} eps={c['eps']:4.2f}  violations={c['violations']}"
+            f"  block<token={c['block_below_token']}"
+            f"  strict(hsd>block)={c['strict_branch_block']:.3f}"
+            f"  strict(block>token)={c['strict_block_token']:.3f}"
         )
     print(f"bench: {len(rows)} rows, ordering_violations={total_violations}, wrote {out}")
     return EXIT_OK if total_violations == 0 else EXIT_SCIENCE
@@ -415,17 +343,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
         length,
         args.trials,
         args.seed,
-        k_drafts=args.drafts if verifier in MULTI_DRAFT_VERIFIERS else 1,
+        k_drafts=args.drafts,  # a single-draft verifier is left only at --drafts 1
         mutate=args.mutate,
         workers=args.workers,
     )
-    out = _resolve_out(args.out, "mc_report.json" if args.format == "json" else "mc_report.csv")
-    doc = report.to_dict()
-    if args.format == "json":
-        _write_text(out, json.dumps({"command": "mc", "report": doc}, indent=2) + "\n")
-    else:
-        columns = list(doc.keys())
-        _write_text(out, _csv_text(columns, [doc]))
+    row = report.to_dict()
+    out = _write_report(args, "mc_report", {"command": "mc", "report": row}, [row])
     print(
         f"mc {report.verifier} V={report.vocab_size} gamma={report.gamma} K={report.k_drafts}"
         f" trials={report.trials}  tv={report.tv:.3e} (bound {report.tv_bound:.3e})"
@@ -552,6 +475,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
+def _flag_value(action: argparse.Action, key: str, value):
+    """``value`` as its flag gives it, refused unless the flag could produce it.
+
+    A string is parsed by the flag's own ``type``; any other value must parse back
+    equal from its command-line text, and ``null`` only stands for a default of None.
+    """
+    if value is None and action.default is None:
+        return None
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        parsed = (action.type or str)(text)
+        valid = isinstance(value, str) or parsed == value
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"config key {key!r}: invalid value {value!r}")
+    if action.choices is not None and parsed not in action.choices:  # argparse checks these on the command line only
+        raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {list(action.choices)})")
+    return parsed
+
+
 def _apply_config_file(argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
     with open(args.config) as f:
         overrides = json.load(f)
@@ -563,10 +507,8 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace) -> argparse.Na
     unknown = set(overrides) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():  # argparse checks choices on the command line only
-        choices = actions[key].choices
-        if choices is not None and value not in choices:
-            raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {list(choices)})")
+    for key, value in overrides.items():
+        overrides[key] = _flag_value(actions[key], key, value)
     sp.set_defaults(**overrides)
     return parser.parse_args(argv)
 

@@ -213,6 +213,30 @@ def test_mc_report_bytes_match_the_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == MC_REPORT_SHA256
 
 
+CSV_REPORT_SHA256 = {  # the CSV twins of the three JSON reports above
+    "oracle": "cdd808ab3aa46a6a778d09074f79b4afba84f2a4a39549777bea20f254207254",
+    "bench": "d09268f9f7b094b3d6813e5a9814949f8dfe4102499b5b7f297791893513a06e",
+    "mc": "9d17897ce5346cbb89d4202b033299eb6a03a7efadc4aac5d4508e8380adde0b",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--vocab", "3", "--gamma", "3", "--length", "4", "--pairs", "3", "--seed", "11", "--format", "csv"],
+        ["bench", "--vocab", "8", "--gamma", "3,5", "--eps", "0.5,1.0", "--trials", "300", "--seed", "5"],
+        ["mc", "--verifier", "capped-hsd", "--drafts", "2", "--vocab", "2", "--gamma", "2", "--trials", "10000"]
+        + ["--seed", "4", "--format", "csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_report_bytes_match_the_golden_digest(tmp_path, capsys, argv):
+    # bench writes CSV by default; the header row and every cell are pinned
+    out_path = tmp_path / "report.csv"
+    assert run(argv + ["--out", str(out_path)], capsys)[0] == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CSV_REPORT_SHA256[argv[0]]
+
+
 def test_bench_repeated_runs_are_byte_identical(tmp_path, capsys):
     args = ["bench", "--vocab", "3", "--gamma", "1,2", "--eps", "0.5", "--trials", "200", "--seed", "3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -305,6 +329,16 @@ def test_an_oracle_depth_shallower_than_its_output_is_a_usage_error(tmp_path, ca
         code, _, err = run(argv + ["--out", str(out_path)], capsys)
         assert code == EXIT_USAGE, argv
         assert err == f"error: --depth {argv[-1]} is shallower than the output length {length}\n", argv
+    assert not out_path.exists()
+
+
+def test_a_negative_bench_eps_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
+    out_path = tmp_path / "report"
+    code, _, err = run(["bench", "--eps", "0.5,-1", "--out", str(out_path)], capsys)
+    assert code == EXIT_USAGE
+    assert err == "error: divergence_knob must be >= 0, got -1.0\n"
     assert not out_path.exists()
 
 
@@ -404,10 +438,35 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
         ("oracle", {"vocabulary": 3}, "unknown config keys"),
         ("oracle", {"format": "xml"}, "config key 'format'"),  # choices bind in the file too
         ("example", {"show": "bogus"}, "config key 'show'"),
+        # a value the flag itself could not produce is refused before any work
+        ("oracle", {"vocab": 3.5}, "config key 'vocab'"),
+        ("oracle", {"pairs": 2.5}, "config key 'pairs'"),
+        ("oracle", {"gamma": None}, "config key 'gamma'"),
+        ("oracle", {"verifiers": ["tokenwise"]}, "config key 'verifiers'"),
+        ("oracle", {"workers": 2.5}, "config key 'workers'"),
+        ("oracle", {"seed": True}, "config key 'seed'"),
+        ("mc", {"trials": 20000.0}, "config key 'trials'"),
+        ("bench", {"vocab": 8}, "config key 'vocab'"),
+        ("bench", {"gamma": "2,x"}, "config key 'gamma'"),
     ],
-    ids=["unknown-key", "oracle-format", "example-show"],
+    ids=[
+        "unknown-key",
+        "oracle-format",
+        "example-show",
+        "float-vocab",
+        "float-pairs",
+        "null-gamma",
+        "list-verifiers",
+        "float-workers",
+        "bool-seed",
+        "float-trials",
+        "scalar-bench-vocab",
+        "unparsed-string",
+    ],
 )
-def test_config_file_rejects_unknown_keys(tmp_path, capsys, command, overrides, message):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch, command, overrides, message):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(overrides))
     code, _, err = run([command, "--config", str(config), "--out", str(tmp_path / "out")], capsys)
@@ -416,11 +475,37 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, command, overrides, 
     assert not (tmp_path / "out").exists()
 
 
-def test_default_output_dir_comes_from_the_environment(tmp_path, capsys, monkeypatch):
+def test_config_file_takes_every_value_its_flags_can_produce(tmp_path, capsys):
+    # JSON ints, strings the flag parses, bench lists and null where the default is None
+    config = tmp_path / "config.json"
+    for command, overrides, flags in (
+        ("oracle", {"vocab": "3", "gamma": 2, "pairs": 1, "eps": 1, "length": None, "depth": None}, ["--eps", "1"]),
+        ("bench", {"vocab": [3], "gamma": "2", "eps": [0.5, 1], "trials": 50}, ["--eps", "0.5,1"]),
+    ):
+        by_file, by_flags = tmp_path / f"{command}-file", tmp_path / f"{command}-flags"
+        config.write_text(json.dumps(overrides))
+        assert run([command, "--config", str(config), "--out", str(by_file)], capsys)[0] == EXIT_OK
+        others = {k: v for k, v in overrides.items() if k != "eps"}
+        config.write_text(json.dumps(others))
+        assert run([command, "--config", str(config), *flags, "--out", str(by_flags)], capsys)[0] == EXIT_OK
+        assert by_file.read_bytes() == by_flags.read_bytes()  # a config value is the value its flag gives
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, stem",
+    [
+        (["oracle", "--vocab", "3", "--gamma", "2", "--pairs", "1"], "oracle_report"),
+        (["bench", "--vocab", "3", "--gamma", "2", "--eps", "0.5", "--trials", "50"], "bench_results"),
+        (["mc", "--verifier", "tokenwise", "--trials", "10000"], "mc_report"),
+    ],
+    ids=["oracle", "bench", "mc"],
+)
+def test_default_output_dir_comes_from_the_environment(tmp_path, capsys, monkeypatch, argv, stem, fmt):
     monkeypatch.setenv("SPECVERIFY_OUT_DIR", str(tmp_path / "reports"))
-    code, _, _ = run(["oracle", "--vocab", "3", "--gamma", "2", "--pairs", "1"], capsys)
+    code, _, _ = run(argv + ["--format", fmt], capsys)
     assert code == EXIT_OK
-    assert (tmp_path / "reports" / "oracle_report.json").exists()
+    assert [path.name for path in (tmp_path / "reports").iterdir()] == [f"{stem}.{fmt}"]
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
