@@ -30,6 +30,7 @@ from pathlib import Path
 from .metrics import method_expected_tau, whole_draft_acceptance
 from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, stream_run, substream
 from .oracle import (
+    ENUMERATION_GUARD,
     MULTI_DRAFT_VERIFIERS,
     MUTATIONS,
     SINGLE_DRAFT_VERIFIERS,
@@ -39,6 +40,7 @@ from .oracle import (
     target_joint_distribution,
     total_variation,
 )
+from .verify import MULTI_DRAFT
 from .worked_example import (
     REFERENCE_ACCEPTED_LENGTH,
     REFERENCE_BRANCH_H,
@@ -168,6 +170,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ]
     for spec in specs:
         spec.validate()
+    if args.vocab**length > ENUMERATION_GUARD:
+        raise ValueError(f"{args.vocab}^{length} sequences exceed the enumeration guard ({ENUMERATION_GUARD})")
     job = partial(_oracle_pair_job, gamma=args.gamma, length=length, verifiers=verifiers, mutate=args.mutate)
     reports = [report for group in pool_map(job, list(enumerate(specs)), args.workers) for report in group]
     all_pass = all(r["pass"] for r in reports)
@@ -327,12 +331,16 @@ def cmd_mc(args: argparse.Namespace) -> int:
     verifier = args.verifier
     if args.drafts < 1:
         raise ValueError(f"--drafts must be >= 1, got {args.drafts}")
-    if args.drafts > 1 and verifier in ("tokenwise", "capped-hsd"):
-        verifier = {"tokenwise": "multidraft-tokenwise", "capped-hsd": "multidraft-hsd"}[verifier]
-    if args.drafts > 1 and verifier == "naive-hsd":
-        raise ValueError("naive-hsd has no multi-draft variant")
+    if args.drafts > 1 and verifier in SINGLE_DRAFT_VERIFIERS:
+        variants = {single: multi for multi, single in MULTI_DRAFT.items()}
+        if verifier not in variants:
+            raise ValueError(f"{verifier} has no multi-draft variant")
+        verifier = variants[verifier]
     length = _output_length(args)
-    depth = args.depth if args.depth is not None else max(length, args.gamma + 1)
+    need = max(length, args.gamma + 1)  # the output, and the bonus token after a full draft
+    depth = args.depth if args.depth is not None else need
+    if depth < need:
+        raise ValueError(f"--depth {depth} is shallower than {need}, the larger of --length and --gamma + 1")
     spec = ModelPairSpec(args.vocab, depth, derive_seed(args.seed, 0), args.eps, args.concentration)
     p_model, q_model = generate_model_pair(spec)
     report = monte_carlo_fit(

@@ -20,7 +20,8 @@ Either memo is the opening thread's alone and is dropped with the run,
 also on an exception.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
-one definition its public sampler also reads.  Their ``mutate`` argument
+one definition the sampler of :mod:`specverify.verify` also reads, for one
+draft or, under the names of :data:`verify.MULTI_DRAFT`, several.  Their ``mutate`` argument
 corrupts a verifier on purpose, and a healthy test suite must catch every
 mutation: ``h-double`` doubles the acceptance chain (clamped to 1) of any
 single-draft verifier, under enumeration or sampling; ``unclamp`` hands
@@ -43,6 +44,7 @@ from .divergence import joint_products
 from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
 from .models import stream_run, substream, trace_for
 from .verify import (
+    MULTI_DRAFT,
     SINGLE_DRAFT,
     capped_hsd_verify,
     multidraft_hsd_verify,
@@ -51,12 +53,12 @@ from .verify import (
     naive_hsd_verify,
     tokenwise_verify,
     _capped_ratios,
-    _single_draft_verify,
+    _verify,
 )
 
 ENUMERATION_GUARD = 100_000
 SINGLE_DRAFT_VERIFIERS = tuple(SINGLE_DRAFT)
-MULTI_DRAFT_VERIFIERS = ("multidraft-tokenwise", "multidraft-hsd")
+MULTI_DRAFT_VERIFIERS = tuple(MULTI_DRAFT)
 MUTATIONS = ("h-double", "unclamp")
 
 
@@ -272,7 +274,7 @@ def _simulate_sequence(
     if verifier in SINGLE_DRAFT_VERIFIERS:
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         if mutate is not None:  # h-double, the one mutation sampling can see
-            outcome = _single_draft_verify(verifier, trace, rng, p_model, q_model, _doubled)
+            outcome = _verify(verifier, [trace], rng, p_model, q_model, _doubled)
         elif verifier == "tokenwise":
             outcome = tokenwise_verify(trace, rng)
         elif verifier == "naive-hsd":
@@ -356,6 +358,7 @@ def monte_carlo_fit(
     if depth < max(length, gamma + 1):
         raise ValueError(f"models of depth {depth} cannot run gamma={gamma} with continuations to {length}")
     _check_mutation(verifier, mutate, enumerated=False)
+    expected = target_joint_distribution(p_model, length)  # its enumeration guard, before any trial
 
     run = (master_seed, verifier, gamma, length, k_drafts, mutate)
     if workers > 1:
@@ -368,7 +371,6 @@ def monte_carlo_fit(
     else:
         counts = _trial_counts(p_model, q_model, range(trials), *run)
 
-    expected = target_joint_distribution(p_model, length)
     z_bound = 4.0
     max_z, z_violations = 0.0, 0
     worst_seq, worst_err = (), 0.0

@@ -4,14 +4,15 @@ Each single-draft verifier is defined once, as an entry of the
 :data:`SINGLE_DRAFT` table: tokenwise accept/resample, branch resampling in
 its naive form (whose refill queries the models off the drafted path), and
 branch resampling with the maximal prefix ratio capped (which needs nothing
-beyond the trace).  The samplers here and the exact enumeration and mutation
-tests of :mod:`specverify.oracle` all read that table.  Both branch chains
-run one loop: naive-hsd is capped-hsd with every cap index 0.  Blockwise
-acceptance is kept to chain depth, as the independent reference for
-capped-hsd.  Two multi-draft variants layer recursive rejection sampling
-with replacement on top of the tokenwise and capped verifiers.
+beyond the trace).  The exact enumeration and mutation tests of
+:mod:`specverify.oracle` read that table, and so does the one sampler here,
+recursive rejection sampling over one draft or several: one draft is the
+single-draft verifier, and each multi-draft verifier of :data:`MULTI_DRAFT`
+scans every draft with a single-draft plan.  Both branch chains run one
+loop: naive-hsd is capped-hsd with every cap index 0.  Blockwise acceptance
+is kept to chain depth, as the independent reference for capped-hsd.
 
-Inside a run memo (:func:`specverify.models.run_memo`) the samplers build
+Inside a run memo (:func:`specverify.models.run_memo`) the sampler builds
 each distinct trace's plan once, and the branch chains each branch's gap
 list and sums, which the capped residual then reads.
 
@@ -298,7 +299,7 @@ def _planned(plan: Callable[[DraftTrace], Plan], trace: DraftTrace) -> Plan:
     memo = _run.memo
     if memo is None:
         return plan(trace)
-    key = (plan, trace)  # the whole trace: a multidraft-hsd sub-trace can share its tokens and differ in p_dists[0]
+    key = (plan, trace)  # the whole trace: a multi-draft sub-trace can share its tokens and differ in p_dists[0]
     found = memo.get(key)
     if found is None:
         h, residual = plan(trace)
@@ -306,40 +307,63 @@ def _planned(plan: Callable[[DraftTrace], Plan], trace: DraftTrace) -> Plan:
     return found
 
 
-def _single_draft_verify(
+def _verify(
     verifier: str,
-    trace: DraftTrace,
+    traces: list[DraftTrace],
     rng: np.random.Generator,
     p_model: TableArModel | None = None,
     q_model: TableArModel | None = None,
     transform: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None,
 ) -> VerifyOutcome:
-    """Sample one verification of ``trace`` by the :data:`SINGLE_DRAFT` entry of ``verifier``.
+    """Recursive rejection sampling over ``traces`` by the :data:`SINGLE_DRAFT` entry of ``verifier``.
 
-    ``transform``, if given, maps the acceptance chain before the scan; the
-    mutation tests use it to corrupt a verifier on purpose.  naive-hsd needs
-    both models for its refill.
+    Drafts are tried in order; one that extends the accepted prefix has its
+    suffix scanned against the target left by the residuals of the drafts
+    that failed before it, and the last residual is the fallback draw.  One
+    draft is the single-draft verifier.  ``transform`` maps each chain before
+    its scan (the mutation tests' hook); a plan with no single-step residual
+    (naive-hsd) refills to the end of the block from both models.
     """
+    if not traces:
+        raise ValueError("need at least one draft trace")
+    prefix, gamma = traces[0].prefix, traces[0].gamma
+    for tr in traces[1:]:
+        if tr.prefix != prefix:
+            raise ValueError("draft traces do not share a prefix")
+        if tr.gamma != gamma:
+            raise ValueError("draft traces differ in length")
+    if gamma == 0:
+        raise ValueError("empty drafts cannot be verified")
     plan, scan = SINGLE_DRAFT[verifier]
-    h, residual = _planned(plan, trace)
-    if transform is not None:
-        h = transform(h)
-    tau, events = SCANS[scan](h, rng)
-    emitted = list(trace.tokens[:tau])
-    if tau == trace.gamma:
-        emitted.append(_emit_bonus(trace.bonus_dist, trace.gamma + 1, rng, events))
-    elif residual is not None:
-        emitted.append(_resample(residual(tau), tau + 1, rng, events))
-    else:  # no single-step residual: refill every position to the end of the block
-        for t in range(tau, trace.gamma):
-            dist = naive_branch_residual(p_model, q_model, trace.prefix + tuple(emitted))
-            emitted.append(_resample(dist, t + 1, rng, events))
-    return VerifyOutcome(tau, tuple(emitted), tuple(events))
+    accepted, tau, override, events = (), 0, None, []
+    for tr in traces:
+        if tau and tr.tokens[:tau] != accepted:
+            continue  # prefix mismatch, skip this draft
+        sub = tr
+        if override is not None:  # set by every failed extension, so whenever tau > 0
+            p_dists = (override, *tr.p_dists[tau + 1 :])
+            sub = DraftTrace(prefix + accepted, tr.tokens[tau:], tr.q_dists[tau:], p_dists, tr.bonus_dist)
+        h, residual = _planned(plan, sub)
+        t_local, scan_events = SCANS[scan](h if transform is None else transform(h), rng)
+        events += [Event(e.position + tau, e.kind, e.prob, e.u) for e in scan_events] if tau else scan_events
+        if t_local:
+            tau += t_local
+            accepted = tr.tokens[:tau]
+        if tau == gamma:
+            return VerifyOutcome(tau, accepted + (_emit_bonus(tr.bonus_dist, gamma + 1, rng, events),), tuple(events))
+        if residual is None:  # no single-step residual: refill every position to the end of the block
+            emitted = list(accepted)
+            for t in range(tau, gamma):
+                dist = naive_branch_residual(p_model, q_model, prefix + tuple(emitted))
+                emitted.append(_resample(dist, t + 1, rng, events))
+            return VerifyOutcome(tau, tuple(emitted), tuple(events))
+        override = residual(t_local)
+    return VerifyOutcome(tau, accepted + (_resample(override, tau + 1, rng, events),), tuple(events))
 
 
 def tokenwise_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutcome:
     """Front-to-back accept/resample verification of one drafted block."""
-    return _single_draft_verify("tokenwise", trace, rng)
+    return _verify("tokenwise", [trace], rng)
 
 
 def naive_hsd_verify(
@@ -356,7 +380,7 @@ def naive_hsd_verify(
     token.  Only a fully accepted draft earns the bonus, so emitted length is
     gamma + 1 exactly when tau == gamma and gamma otherwise.
     """
-    return _single_draft_verify("naive-hsd", trace, rng, p_model, q_model)
+    return _verify("naive-hsd", [trace], rng, p_model, q_model)
 
 
 def capped_hsd_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutcome:
@@ -366,7 +390,7 @@ def capped_hsd_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutc
     residual draw all live on branches reachable from the drafted path.
     Emits the accepted prefix plus exactly one token (resampled or bonus).
     """
-    return _single_draft_verify("capped-hsd", trace, rng)
+    return _verify("capped-hsd", [trace], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -374,104 +398,20 @@ def capped_hsd_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutc
 # ---------------------------------------------------------------------------
 
 
-def _check_shared(traces: list[DraftTrace]) -> tuple[Sequence, int]:
-    if not traces:
-        raise ValueError("need at least one draft trace")
-    prefix, gamma = traces[0].prefix, traces[0].gamma
-    for tr in traces[1:]:
-        if tr.prefix != prefix:
-            raise ValueError("draft traces do not share a prefix")
-        if tr.gamma != gamma:
-            raise ValueError("draft traces differ in length")
-    if gamma == 0:
-        raise ValueError("empty drafts cannot be verified")
-    return prefix, gamma
+# multi-draft verifier -> the single-draft verifier whose plan each of its drafts is scanned by
+MULTI_DRAFT = {"multidraft-tokenwise": "tokenwise", "multidraft-hsd": "capped-hsd"}
 
 
 def multidraft_hsd_verify(traces: list[DraftTrace], rng: np.random.Generator) -> VerifyOutcome:
-    """Capped branch verification over several independent drafts.
-
-    Drafts are tried in order.  One that does not extend the currently
-    accepted prefix is skipped; otherwise its suffix is scanned backward with
-    the capped acceptance rule.  After each failed extension the target
-    conditional at the next position is replaced by the capped residual, so
-    later drafts are verified against what is left of the target mass; the
-    final fallback samples from that residual directly.
-    """
-    prefix, gamma = _check_shared(traces)
-    accepted: tuple[int, ...] = ()
-    tau = 0
-    override: Dist | None = None
-    events: list[Event] = []
-    for tr in traces:
-        if tr.tokens[: tau] != accepted:
-            continue  # prefix mismatch, skip this draft
-        if tau == 0 and override is None:
-            sub = tr
-        else:
-            p_dists = list(tr.p_dists[tau:])
-            if override is not None:
-                p_dists[0] = override
-            sub = DraftTrace(
-                prefix + accepted,
-                tr.tokens[tau:],
-                tr.q_dists[tau:],
-                tuple(p_dists),
-                tr.bonus_dist,
-            )
-        h, residual = _planned(_capped_hsd_plan, sub)
-        base = tau
-        t_local, scan_events = backward_scan(h, rng)
-        if base == 0:
-            events.extend(scan_events)
-        else:
-            events.extend(Event(e.position + base, e.kind, e.prob, e.u) for e in scan_events)
-        if t_local > 0:
-            tau = base + t_local
-            accepted = tr.tokens[:tau]
-        if tau == gamma:
-            emitted = list(accepted)
-            emitted.append(_emit_bonus(tr.bonus_dist, gamma + 1, rng, events))
-            return VerifyOutcome(tau, tuple(emitted), tuple(events))
-        override = residual(t_local)
-    tok = _resample(override, tau + 1, rng, events)
-    return VerifyOutcome(tau, tuple(accepted) + (tok,), tuple(events))
+    """Capped branch verification over several independent drafts, each scanned backward by the capped rule."""
+    return _verify(MULTI_DRAFT["multidraft-hsd"], traces, rng)
 
 
 def multidraft_tokenwise_verify(traces: list[DraftTrace], rng: np.random.Generator) -> VerifyOutcome:
     """Per-position recursive rejection sampling with replacement over drafts.
 
-    At each position every draft that still extends the accepted prefix gets
-    one tokenwise try against the running residual target; each rejection
-    subtracts the draft conditional and renormalises.  When all tries fail
-    the position is filled from the residual and verification stops.
+    A rejected token keeps no residual mass, so no draft tried before the one
+    accepted at a position can extend it: scanning each draft forward to its
+    first rejection makes the same draws as trying the drafts position by position.
     """
-    _, gamma = _check_shared(traces)
-    accepted: tuple[int, ...] = ()
-    events: list[Event] = []
-    last_match: DraftTrace | None = None
-    for t in range(gamma):
-        candidates = [tr for tr in traces if tr.tokens[:t] == accepted]
-        p_cur: Dist = candidates[0].p_dists[t]
-        accepted_tok: int | None = None
-        for tr in candidates:
-            x = tr.tokens[t]
-            qd = tr.q_dists[t]
-            if qd[x] <= 0.0:
-                raise ValueError(f"draft token {x} at position {t + 1} has zero draft probability")
-            h = min(1.0, p_cur[x] / qd[x])
-            u = rng.random()
-            if u < h:
-                events.append(Event(t + 1, "accept", h, u))
-                accepted_tok = x
-                last_match = tr
-                break
-            events.append(Event(t + 1, "reject", h, u))
-            p_cur = tokenwise_residual(p_cur, qd)
-        if accepted_tok is None:
-            tok = _resample(p_cur, t + 1, rng, events)
-            return VerifyOutcome(t, accepted + (tok,), tuple(events))
-        accepted = accepted + (accepted_tok,)
-    emitted = list(accepted)
-    emitted.append(_emit_bonus(last_match.bonus_dist, gamma + 1, rng, events))
-    return VerifyOutcome(gamma, tuple(emitted), tuple(events))
+    return _verify(MULTI_DRAFT["multidraft-tokenwise"], traces, rng)

@@ -332,6 +332,32 @@ def test_an_oracle_depth_shallower_than_its_output_is_a_usage_error(tmp_path, ca
     assert not out_path.exists()
 
 
+def test_an_oracle_beyond_the_enumeration_guard_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    out_path = tmp_path / "report"
+    for argv, sequences in ((["--vocab", "40", "--gamma", "4"], "40^4"), (["--gamma", "2", "--length", "11"], "3^11")):
+        code, _, err = run(["oracle", *argv, "--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE, argv
+        assert err == f"error: {sequences} sequences exceed the enumeration guard ({oracle.ENUMERATION_GUARD})\n", argv
+    assert not out_path.exists()
+
+
+def test_an_mc_depth_too_shallow_is_a_usage_error_naming_depth(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
+    out_path = tmp_path / "report"
+    for argv, need in (
+        (["--depth", "1"], 3),  # the default gamma of 2 needs room for its bonus token
+        (["--gamma", "2", "--length", "4", "--depth", "3"], 4),
+        (["--gamma", "3", "--drafts", "2", "--depth", "3"], 4),
+    ):
+        code, _, err = run(["mc", *argv, "--out", str(out_path)], capsys)
+        assert code == EXIT_USAGE, argv
+        depth = argv[-1]
+        assert err == f"error: --depth {depth} is shallower than {need}, the larger of --length and --gamma + 1\n", argv
+    assert not out_path.exists()
+
+
 def test_a_negative_bench_eps_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "pool_map", no_work)
     monkeypatch.setattr(cli, "generate_model_pair", no_work)

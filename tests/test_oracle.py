@@ -459,6 +459,19 @@ def test_gamma_below_one_is_refused_before_any_work(monkeypatch):
             enumerate_yield("nonsense", p, q, gamma, -5)
 
 
+def test_the_enumeration_guard_is_checked_before_any_trial(monkeypatch):
+    p, q = pair_for(5, vocab=20, depth=5, eps=0.8)
+
+    def no_trials(*args):
+        raise AssertionError("trials ran before the enumeration guard was checked")
+
+    monkeypatch.setattr(oracle, "_trial_counts", no_trials)
+    monkeypatch.setattr(oracle, "pool_map", no_trials)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"^20\^4 sequences exceed the enumeration guard$"):
+            monte_carlo_fit("capped-hsd", p, q, 2, 4, 10_000, 1, workers=workers)
+
+
 def test_a_target_joint_deeper_than_its_model_is_refused():
     p, _ = pair_for(5, vocab=2, depth=1, eps=0.8)
     assert target_joint_distribution(p, 1).total() == pytest.approx(1.0)

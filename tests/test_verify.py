@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 
 from specverify.divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
-from specverify.models import DraftTrace, sample_draft, substream, trace_for
+from specverify.models import DraftTrace, index_from_uniform, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
     SINGLE_DRAFT,
+    Event,
+    VerifyOutcome,
     _capped_ratios,
     backward_scan,
     blockwise_acceptance_chain,
@@ -415,18 +417,48 @@ def test_multidraft_hsd_with_one_draft_is_the_single_draft_verifier(small_pair):
     p, q = small_pair
     for i in range(300):
         trace = sample_draft(q, p, (), 3, substream(54, i))
-        single = capped_hsd_verify(trace, substream(55, i))
-        multi = multidraft_hsd_verify([trace], substream(55, i))
-        assert (single.tau, single.emitted) == (multi.tau, multi.emitted)
+        assert multidraft_hsd_verify([trace], substream(55, i)) == capped_hsd_verify(trace, substream(55, i))
 
 
 def test_multidraft_tokenwise_with_one_draft_is_the_single_draft_verifier(small_pair):
     p, q = small_pair
     for i in range(300):
         trace = sample_draft(q, p, (), 3, substream(56, i))
-        single = tokenwise_verify(trace, substream(57, i))
-        multi = multidraft_tokenwise_verify([trace], substream(57, i))
-        assert (single.tau, single.emitted) == (multi.tau, multi.emitted)
+        assert multidraft_tokenwise_verify([trace], substream(57, i)) == tokenwise_verify(trace, substream(57, i))
+
+
+def tokenwise_rrs_by_position(traces, rng):
+    """Recursive rejection sampling position by position: every draft extending the prefix tries each position."""
+    accepted, events = (), []
+    for t in range(traces[0].gamma):
+        candidates = [tr for tr in traces if tr.tokens[:t] == accepted]
+        p_cur = candidates[0].p_dists[t]
+        for tr in candidates:
+            x, qd = tr.tokens[t], tr.q_dists[t]
+            h, u = min(1.0, p_cur[x] / qd[x]), rng.random()
+            events.append(Event(t + 1, "accept" if u < h else "reject", h, u))
+            if u < h:
+                accepted, last = accepted + (x,), tr
+                break
+            p_cur = tokenwise_residual(p_cur, qd)
+        else:
+            tok = index_from_uniform(p_cur, u := rng.random())
+            events.append(Event(t + 1, "resample", p_cur[tok], u))
+            return VerifyOutcome(t, accepted + (tok,), tuple(events))
+    tok = index_from_uniform(last.bonus_dist, u := rng.random())
+    events.append(Event(len(accepted) + 1, "bonus", last.bonus_dist[tok], u))
+    return VerifyOutcome(len(accepted), accepted + (tok,), tuple(events))
+
+
+@pytest.mark.parametrize("vocab, gamma", list(product((2, 3, 5), (1, 2, 4))))
+def test_multidraft_tokenwise_is_recursive_rejection_sampling_position_by_position(vocab, gamma):
+    # draft by draft is the per-position law only because a rejected token keeps no residual mass:
+    # no draft tried before the one accepted at a position can extend the accepted prefix
+    p, q = pair_for(vocab, vocab=vocab, depth=gamma + 1, eps=1.0)
+    for k_drafts, i in product((1, 2, 3, 4), range(100)):
+        traces = [sample_draft(q, p, (), gamma, substream(66, k_drafts, i, k)) for k in range(k_drafts)]
+        by_draft = multidraft_tokenwise_verify(traces, substream(67, k_drafts, i))
+        assert by_draft == tokenwise_rrs_by_position(traces, substream(67, k_drafts, i))
 
 
 def test_multidraft_accepts_the_first_draft_when_models_agree(identical_pair):
