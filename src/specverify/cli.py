@@ -342,6 +342,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if depth < need:
         raise ValueError(f"--depth {depth} is shallower than {need}, the larger of --length and --gamma + 1")
     spec = ModelPairSpec(args.vocab, depth, derive_seed(args.seed, 0), args.eps, args.concentration)
+    spec.validate()
     p_model, q_model = generate_model_pair(spec)
     report = monte_carlo_fit(
         verifier,
@@ -372,6 +373,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
+    if not args.tolerance >= 0:  # NaN fails too
+        raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     checks = run_checks(args.tolerance)
     chain = recomputed_chain()
     shows = {

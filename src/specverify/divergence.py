@@ -15,7 +15,6 @@ same immutable value: exact, as a ``DraftTrace`` is immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .models import Dist, DraftTrace, Sequence, TableArModel
@@ -101,8 +100,7 @@ def hierarchy_check(p_model: TableArModel, q_model: TableArModel, prefix: Sequen
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class RatioChain:
+class RatioChain(NamedTuple):
     """Per-position ratio data along a drafted block, all 0-indexed by position.
 
     ``cond_r[t]`` is the target/draft conditional ratio of the drafted token

@@ -21,7 +21,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -208,6 +208,9 @@ class ModelPairSpec:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        for name, knob in (("concentration", self.concentration), ("divergence_knob", self.divergence_knob)):
+            if not math.isfinite(knob):  # NaN or inf would otherwise fail deep inside generation
+                raise ValueError(f"{name} must be finite, got {knob}")
         if self.concentration <= 0:
             raise ValueError(f"concentration must be > 0, got {self.concentration}")
         if self.divergence_knob < 0:
@@ -332,8 +335,7 @@ class _PairGenerator:
         return _softmax(logits)
 
 
-@dataclass(frozen=True, slots=True)
-class DraftTrace:
+class DraftTrace(NamedTuple):
     """A drafted token block plus every distribution a verifier may touch.
 
     ``q_dists[t]`` and ``p_dists[t]`` are the draft and target conditionals

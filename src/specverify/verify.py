@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import cache
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ from .models import Dist, DraftTrace, Sequence, TableArModel, _run, index_from_u
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One verification decision: which position, what happened, at what odds."""
 
     position: int
@@ -48,8 +46,7 @@ class Event:
     u: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     """Accepted prefix length, emitted tokens, and the decision log."""
 
     tau: int

@@ -43,6 +43,21 @@ def test_example_fails_at_unreachable_tolerance(capsys):
     assert "FAIL" in out
 
 
+def test_a_negative_or_nan_tolerance_is_a_usage_error_before_the_checks(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_checks", no_work)
+    for value in ("-1", "nan", "-inf"):
+        code, out, err = run(["example", f"--tolerance={value}"], capsys)
+        assert code == EXIT_USAGE, value
+        assert out == ""
+        assert err == f"error: --tolerance must be >= 0, got {float(value)}\n", value
+
+
+def test_a_zero_tolerance_is_valid(capsys):
+    code, out, _ = run(["example", "--tolerance", "0"], capsys)
+    assert code == EXIT_SCIENCE  # the rounded reference values miss by more than 0 ...
+    assert "example check              m: max_err=0.00e+00 tol=0 pass" in out  # ... but an exact match passes
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -365,6 +380,19 @@ def test_a_negative_bench_eps_is_a_usage_error_before_any_work(tmp_path, capsys,
     code, _, err = run(["bench", "--eps", "0.5,-1", "--out", str(out_path)], capsys)
     assert code == EXIT_USAGE
     assert err == "error: divergence_knob must be >= 0, got -1.0\n"
+    assert not out_path.exists()
+
+
+def test_non_finite_model_knobs_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
+    out_path = tmp_path / "report"
+    for command in ("oracle", "bench", "mc"):
+        for flag, field in (("--eps", "divergence_knob"), ("--concentration", "concentration")):
+            for value in ("nan", "inf", "-inf"):
+                code, _, err = run([command, f"{flag}={value}", "--out", str(out_path)], capsys)
+                assert code == EXIT_USAGE, (command, flag, value)
+                assert err == f"error: {field} must be finite, got {float(value)}\n", (command, flag, value)
     assert not out_path.exists()
 
 

@@ -62,6 +62,14 @@ def test_bad_pair_specs_are_rejected(kwargs):
         generate_model_pair(ModelPairSpec(**kwargs))
 
 
+@pytest.mark.parametrize("field", ["divergence_knob", "concentration"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_knobs_are_rejected_by_name(field, value):
+    spec = ModelPairSpec(4, 3, 1, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        spec.validate()
+
+
 def test_conditional_lookup_and_purity(small_pair):
     p, _ = small_pair
     root = p.conditional(())

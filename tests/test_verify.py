@@ -1,10 +1,17 @@
 import logging
 import math
+import pickle
 from itertools import product
 
 import pytest
 
-from specverify.divergence import capped_branch_divergences, capped_branch_masses, joint_products, ratio_chain
+from specverify.divergence import (
+    RatioChain,
+    capped_branch_divergences,
+    capped_branch_masses,
+    joint_products,
+    ratio_chain,
+)
 from specverify.models import DraftTrace, index_from_uniform, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
@@ -544,3 +551,44 @@ def test_scan_uniforms_are_replayable_from_the_log(small_pair):
             assert event.prob == h[event.position - 1]
             assert (event.u < event.prob) == (event.kind == "accept")
             position -= 1
+
+
+# ---------------------------------------------------------------------------
+# value types
+# ---------------------------------------------------------------------------
+
+
+_EVENT = Event(1, "accept", 0.5, 0.25)
+
+
+@pytest.mark.parametrize(
+    "value, field, text",
+    [
+        (_EVENT, "position", "Event(position=1, kind='accept', prob=0.5, u=0.25)"),
+        (Event(2, "reject"), "u", "Event(position=2, kind='reject', prob=None, u=None)"),
+        (
+            VerifyOutcome(1, (0, 1), (_EVENT,)),
+            "tau",
+            "VerifyOutcome(tau=1, emitted=(0, 1), events=(Event(position=1, kind='accept', prob=0.5, u=0.25),))",
+        ),
+        (
+            DraftTrace((0,), (1,), ((0.5, 0.5),), ((0.25, 0.75),), None),
+            "tokens",
+            "DraftTrace(prefix=(0,), tokens=(1,), q_dists=((0.5, 0.5),), p_dists=((0.25, 0.75),), bonus_dist=None)",
+        ),
+        (
+            RatioChain((1.5,), (1.5,), (0,), (1.5,), (1.0,)),
+            "m",
+            "RatioChain(cond_r=(1.5,), r=(1.5,), m=(0,), rstar=(1.5,), clamped_rstar=(1.0,))",
+        ),
+    ],
+    ids=["event", "event-defaults", "outcome", "trace", "chain"],
+)
+def test_value_types_are_immutable_hashable_picklable_and_print_as_before(value, field, text):
+    # each repr is pinned to the string the type printed when it was a frozen dataclass
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is type(value)
+    assert hash(copy) == hash(value)
+    assert repr(value) == text
