@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from .metrics import method_expected_tau, whole_draft_acceptance
-from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, stream_run, substream
+from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, stream_run, uniforms
 from .oracle import (
     ENUMERATION_GUARD,
     MULTI_DRAFT_VERIFIERS,
@@ -218,7 +218,7 @@ def _bench_config_job(job: tuple[int, int, ModelPairSpec], n: int, master_seed: 
     strict_branch_block = 0
     strict_block_token = 0
     for draft_index in stream_run(master_seed, range(n), head=(index,)):
-        rng = substream(master_seed, index, draft_index)
+        rng = uniforms(master_seed, index, draft_index)
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         e_tok = method_expected_tau("tokenwise", trace)
         e_blk = method_expected_tau("blockwise", trace)

@@ -161,8 +161,8 @@ def ratio_chain(trace: DraftTrace) -> RatioChain:
     last = _last_chain[0]  # one read, so a concurrent store cannot mix two entries
     if last[0] is trace:
         return last[1]
-    p_cond = [trace.p_dists[t][tok] for t, tok in enumerate(trace.tokens)]
-    q_cond = [trace.q_dists[t][tok] for t, tok in enumerate(trace.tokens)]
+    p_cond = [dist[tok] for dist, tok in zip(trace.p_dists, trace.tokens)]
+    q_cond = [dist[tok] for dist, tok in zip(trace.q_dists, trace.tokens)]
     chain = ratio_chain_from_conditionals(p_cond, q_cond)
     _last_chain[0] = (trace, chain)
     return chain
@@ -178,9 +178,9 @@ def joint_products(trace: DraftTrace) -> tuple[tuple[float, ...], tuple[float, .
     if last[0] is trace:
         return last[1]
     p_cum, q_cum = [1.0], [1.0]
-    for t, tok in enumerate(trace.tokens):
-        p_cum.append(p_cum[-1] * trace.p_dists[t][tok])
-        q_cum.append(q_cum[-1] * trace.q_dists[t][tok])
+    for tok, p_dist, q_dist in zip(trace.tokens, trace.p_dists, trace.q_dists):
+        p_cum.append(p_cum[-1] * p_dist[tok])
+        q_cum.append(q_cum[-1] * q_dist[tok])
     cums = (tuple(p_cum), tuple(q_cum))
     _last_cums[0] = (trace, cums)
     return cums

@@ -17,6 +17,7 @@ distinct draft.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,8 +44,13 @@ _STREAM_NOISE = 1
 _STATE_HASH = tuple(
     (0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED ** (i + 1) & _MASK32) for i in range(8)
 )
-_BLOCK = 1024  # a stream_run derives this many seed states at a time
-_stored: dict[tuple[int, ...], np.ndarray] = {}  # (master_seed, *keys) -> state, for each run's current block
+_BLOCK = 1024  # a stream_run derives this many streams at a time
+# Uniforms drawn ahead per stream.  On the mc-fit benchmark's pair, over 5,000 trials per fit, a
+# trial draws at most 6 (single-draft fits), 10 (multidraft-hsd K=2) or 11 (multidraft-tokenwise
+# K=3), and 13 or 14 in 1.3-2.0% of multidraft-hsd K=3 trials; a bench draft draws gamma <= 10.
+_ROW = 12
+_stored: dict[tuple[int, ...], tuple] = {}  # (master_seed, *keys) -> (first uniforms, state words), per run block
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # numpy's PCG64 multiplier, by uint64 half
 
 
 def _key_words(keys: tuple[int, ...]) -> list[int]:
@@ -118,18 +124,50 @@ def _lane_states(master_seed: int, head: tuple[int, ...], lanes: list[int]) -> n
     return state.view(np.uint64)
 
 
-def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[int]:
-    """Yield ``trials`` while :func:`substream` finds ``(master_seed, *head, i)``'s seed state ready.
+def _lane_uniforms(states: np.ndarray, n: int) -> np.ndarray:
+    """Row j is ``Generator(PCG64(s)).random(n)`` for the uint64 seed state ``s = states[j]``.
 
-    The states are derived a block at a time, bit-identical to :func:`seed_state`,
-    and dropped when the loop leaves the block, also on an exception.  Keys
-    outside ``[0, 2**32)`` are left to the scalar path.
+    PCG64 steps the 128-bit LCG ``state * MULT + inc`` and outputs ``rotr64(hi ^ lo, hi >> 58)`` of the
+    new state; a uniform is that ``>> 11`` times 2**-53.  The state is kept in uint64 halves, which wrap as C's do.
+    """
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+
+    def step(hi, lo):
+        a0, a1 = lo & _MASK32, lo >> 32
+        p01, p10 = a0 * m1, a1 * m0
+        mid = (a0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        carry = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # high half of lo * MULT_LO
+        new_lo = lo * _PCG_MULT_LO + inc_lo
+        return hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (new_lo < inc_lo), new_lo
+
+    # seeding: state = 0, inc = initseq << 1 | 1; step; state += initstate; step
+    init_hi, init_lo, seq_hi, seq_lo = states.T
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + init_lo
+    hi, lo = step(inc_hi + init_hi + (lo < init_lo), lo)
+    out = np.empty((len(states), n))
+    for k in range(n):
+        hi, lo = step(hi, lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, k] = (x >> rot | x << (64 - rot & 63)) >> 11
+    return out * 2.0**-53
+
+
+def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[int]:
+    """Yield ``trials`` while :func:`uniforms` finds the first draws of ``(master_seed, *head, i)`` ready.
+
+    A block's seed states and each stream's first ``_ROW`` uniforms are
+    derived in one numpy pass, bit-identical to :func:`substream`'s, and
+    dropped when the loop leaves the block, also on an exception.  A trial
+    that draws more continues on :func:`substream`, which takes the state
+    from the block.  Keys outside ``[0, 2**32)`` are left to the scalar path.
     """
     for j in range(0, len(trials), _BLOCK):
         block = trials[j : j + _BLOCK]
         lanes = [i for i in block if 0 <= i <= _MASK32]
         keys = [(master_seed, *head, i) for i in lanes]
-        _stored.update(zip(keys, _lane_states(master_seed, head, lanes)))
+        states = _lane_states(master_seed, head, lanes)
+        _stored.update(zip(keys, zip(_lane_uniforms(states, _ROW).tolist(), states.tolist())))
         try:
             yield from block
         finally:
@@ -156,14 +194,42 @@ def substream(master_seed: int, *keys: int) -> np.random.Generator:
     ``np.random.default_rng(np.random.SeedSequence((master_seed & 2**64 - 1, *keys)))``
     bit for bit, and negative keys raise ``ValueError`` as there.  A declared
     :func:`stream_run` derives its streams' seed states in blocks, also bit
-    for bit.  Unlike numpy's generator, the returned one's
-    ``bit_generator.seed_seq`` cannot ``spawn``.
+    for bit; a sampler, which needs only ``.random()``, draws the same
+    uniforms from :func:`uniforms`.  Unlike numpy's generator, the returned
+    one's ``bit_generator.seed_seq`` cannot ``spawn``.
     """
-    state = _stored.get((master_seed, *keys)) if _stored else None
-    if state is None:
-        state = seed_state(master_seed, keys, 4)
+    stored = _stored.get((master_seed, *keys)) if _stored else None
+    state = seed_state(master_seed, keys, 4) if stored is None else np.array(stored[1], np.uint64)
     # PCG64 seeds itself from generate_state(4, np.uint64)
     return np.random.Generator(np.random.PCG64(_FixedSeedState(state)))
+
+
+class _DrawnAhead:
+    """The uniforms of ``substream(*key)``: first the row a block drew ahead, then the stream past it."""
+
+    __slots__ = ("_draws", "_key")
+
+    def __init__(self, row: list[float], key: tuple[int, ...]):
+        self._draws, self._key = iter(row), key
+
+    def random(self) -> float:
+        for u in self._draws:
+            return u
+        rest = substream(*self._key)
+        rest.random(_ROW)  # skip the row's draws
+        self._draws = iter(rest.random, None)  # endless: random() never returns None
+        return self.random()
+
+
+def uniforms(master_seed: int, *keys: int) -> np.random.Generator | _DrawnAhead:
+    """``substream(master_seed, *keys)`` as a sampler uses it, by ``.random()`` alone.
+
+    Inside a :func:`stream_run` that declared the key, the first ``_ROW`` uniforms come from its
+    block and the rest from the stream past them; elsewhere this is the stream itself.
+    """
+    key = (master_seed, *keys)
+    stored = _stored.get(key) if _stored else None
+    return substream(master_seed, *keys) if stored is None else _DrawnAhead(stored[0], key)
 
 
 def index_from_uniform(dist: Dist, u: float) -> int:
@@ -185,6 +251,10 @@ def _softmax(logits: np.ndarray) -> Dist:
     values = z.tolist()
     total = math.fsum(values)
     return tuple(v / total for v in values)
+
+
+# numpy's normals stay below 14 in magnitude: up to this knob sum no logit or logit difference overflows
+_KNOB_SUM_MAX = sys.float_info.max / 28
 
 
 @dataclass(frozen=True)
@@ -215,6 +285,8 @@ class ModelPairSpec:
             raise ValueError(f"concentration must be > 0, got {self.concentration}")
         if self.divergence_knob < 0:
             raise ValueError(f"divergence_knob must be >= 0, got {self.divergence_knob}")
+        if (total := self.concentration + self.divergence_knob) > _KNOB_SUM_MAX:
+            raise ValueError(f"concentration + divergence_knob must be <= {_KNOB_SUM_MAX:.3g}, got {total}")
 
 
 class TableArModel:
@@ -443,7 +515,8 @@ def sample_draft(
     Inside a :func:`run_memo` the conditionals come from the run's trie of
     drafted contexts, fetched once per context, and a repeated draft returns
     the same trace object; the same uniforms invert the same conditionals, so
-    the drafts are bit-identical.  Outside a run nothing is stored.
+    the drafts are bit-identical.  Outside a run nothing is stored.  ``rng``
+    is a stream, or :func:`uniforms` of one: only its ``.random()`` is called.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

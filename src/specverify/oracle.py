@@ -42,7 +42,7 @@ import numpy as np
 
 from .divergence import joint_products
 from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
-from .models import stream_run, substream, trace_for
+from .models import stream_run, trace_for, uniforms
 from .verify import (
     MULTI_DRAFT,
     SINGLE_DRAFT,
@@ -270,7 +270,7 @@ def _simulate_sequence(
     mutate: str | None,
     rng: np.random.Generator,
 ) -> Sequence:
-    """One end-to-end generation: draft, verify, continue from the target."""
+    """One end-to-end generation: draft, verify, continue from the target; ``rng`` needs only ``.random()``."""
     if verifier in SINGLE_DRAFT_VERIFIERS:
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         if mutate is not None:  # h-double, the one mutation sampling can see
@@ -298,7 +298,7 @@ def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, m
     counts: Counter = Counter()
     with run_memo(RUN_MEMO_CAP):
         for trial in stream_run(master_seed, trials):
-            counts[_simulate_sequence(p_model, q_model, *run, substream(master_seed, trial))] += 1
+            counts[_simulate_sequence(p_model, q_model, *run, uniforms(master_seed, trial))] += 1
     return counts
 
 

@@ -160,9 +160,10 @@ def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list
     """
     memo = _run.memo  # once per chain: outside a run this is all it costs
     cums = None if memo is None else joint_products(trace)
+    p_dists, q_dists = trace.p_dists, trace.q_dists
     h = []
     for t in range(1, trace.gamma):
-        key = None if cums is None else (trace.p_dists[t], trace.q_dists[t], *capped_scales(cums, t, caps[t]))
+        key = None if cums is None else (p_dists[t], q_dists[t], *capped_scales(cums, t, caps[t]))
         entry = None if key is None else memo.get(key)
         if entry is None:
             gaps = capped_branch_masses(trace, t, caps[t])
@@ -200,10 +201,10 @@ def blockwise_acceptance_chain(trace: DraftTrace) -> tuple[float, ...]:
     it against its suffix-minimum closed form before using it; the final
     position accepts with ``p_gamma`` itself.
     """
-    chain = ratio_chain(trace)
-    gamma = trace.gamma
+    cond_r, p_dists, q_dists = ratio_chain(trace).cond_r, trace.p_dists, trace.q_dists
+    gamma = len(cond_r)
     clamp = [1.0]
-    for cr in chain.cond_r:
+    for cr in cond_r:
         clamp.append(min(clamp[-1] * cr, 1.0))
     # best[t] = min(1, min over s < t of cond_r[s] * ... * cond_r[t - 1]), each
     # product built left to right from s and the minimum taken in order of s
@@ -211,7 +212,7 @@ def blockwise_acceptance_chain(trace: DraftTrace) -> tuple[float, ...]:
     for s in range(gamma):
         prod = 1.0
         for t in range(s + 1, gamma + 1):
-            prod = prod * chain.cond_r[t - 1]
+            prod = prod * cond_r[t - 1]
             best[t] = min(best[t], prod)
     for t in range(gamma + 1):
         if abs(clamp[t] - best[t]) > 1e-12:
@@ -222,7 +223,7 @@ def blockwise_acceptance_chain(trace: DraftTrace) -> tuple[float, ...]:
             h.append(clamp[gamma])
             break
         pt = clamp[t]
-        num = math.fsum([g for px, qx in zip(trace.p_dists[t], trace.q_dists[t]) if (g := pt * px - qx) > 0.0])
+        num = math.fsum([g for px, qx in zip(p_dists[t], q_dists[t]) if (g := pt * px - qx) > 0.0])
         den = num + (1.0 - pt)
         h.append(1.0 if den <= 0.0 else num / den)
     return tuple(h)

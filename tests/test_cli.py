@@ -396,6 +396,18 @@ def test_non_finite_model_knobs_are_usage_errors_before_any_work(tmp_path, capsy
     assert not out_path.exists()
 
 
+def test_model_knobs_that_could_overflow_a_logit_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
+    out_path = tmp_path / "report"
+    for command in ("oracle", "bench", "mc"):
+        for flag in ("--eps", "--concentration"):
+            code, _, err = run([command, f"{flag}=1e308", "--out", str(out_path)], capsys)
+            assert code == EXIT_USAGE, (command, flag)
+            assert err == "error: concentration + divergence_knob must be <= 6.42e+306, got 1e+308\n", (command, flag)
+    assert not out_path.exists()
+
+
 def test_a_length_below_gamma_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "pool_map", no_work)
     monkeypatch.setattr(cli, "generate_model_pair", no_work)

@@ -22,6 +22,7 @@ from specverify.models import (
     stream_run,
     substream,
     trace_for,
+    uniforms,
 )
 
 from conftest import pair_for
@@ -68,6 +69,30 @@ def test_non_finite_knobs_are_rejected_by_name(field, value):
     spec = ModelPairSpec(4, 3, 1, **{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
         spec.validate()
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"concentration": 1e308},
+        {"divergence_knob": 1e308},
+        {"concentration": 4e306, "divergence_knob": 4e306},
+        {"concentration": 1.7e308, "divergence_knob": 1.7e308},  # a sum of inf
+    ],
+)
+def test_knobs_that_could_overflow_a_logit_are_rejected_by_name(knobs):
+    spec = ModelPairSpec(4, 3, 1, **knobs)
+    with pytest.raises(ValueError, match=r"^concentration \+ divergence_knob must be <= 6\.42e\+306, got "):
+        spec.validate()
+
+
+def test_knobs_up_to_the_cap_generate_without_overflow():
+    cap = models._KNOB_SUM_MAX
+    for concentration, knob in ((cap, 0.0), (cap / 2, cap / 2), (1e-300, cap)):
+        # any numpy RuntimeWarning fails the test
+        p, q = generate_model_pair(ModelPairSpec(4, 3, 5, knob, concentration))
+        for prefix in p.prefixes():
+            assert max(q.conditional(prefix)) > 0.0 and max(p.conditional(prefix)) > 0.0
 
 
 def test_conditional_lookup_and_purity(small_pair):
@@ -373,13 +398,15 @@ def test_substream_rejects_negative_keys_like_numpy(keys):
 
 
 def _check_stream_run(master, trials, head=()):
-    """Walk a declared run: each block row is seed_state's, each stream numpy's."""
+    """Walk a declared run: each block row is seed_state's and numpy's first uniforms, each stream numpy's."""
     visited = []
     for i in stream_run(master, trials, head):
         assert len(models._stored) <= 1024
         stored = models._stored.get((master, *head, i))
         if 0 <= i < 2**32:
-            assert stored.tolist() == seed_state(master, (*head, i), 4).tolist(), (master, head, i)
+            row, state = stored
+            assert state == seed_state(master, (*head, i), 4).tolist(), (master, head, i)
+            assert row == _numpy_stream(master, *head, i).random(models._ROW).tolist(), (master, head, i)
         else:
             assert stored is None  # wider keys take the scalar path
         ours, ref = substream(master, *head, i), _numpy_stream(master, *head, i)
@@ -426,6 +453,40 @@ def test_a_stored_state_answers_only_its_own_key_tuple():
                 for m in (master, master + 1):
                     ours, ref = substream(m, *keys), _numpy_stream(m, *keys)
                     assert ours.bit_generator.state == ref.bit_generator.state, (m, keys)
+        assert not models._stored
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    states=st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4), min_size=1, max_size=8),
+    n=st.integers(0, 40),
+)
+def test_lane_uniforms_are_numpy_pcg64_draws(states, n):
+    states = np.array(states, dtype=np.uint64)
+    rows = models._lane_uniforms(states, n)
+    assert rows.shape == (len(states), n)
+    for state, row in zip(states, rows):
+        ref = np.random.Generator(np.random.PCG64(models._FixedSeedState(state)))
+        assert row.tolist() == ref.random(n).tolist(), state
+
+
+def _check_uniforms(master, keys, draws=20):
+    ours, ref = uniforms(master, *keys), substream(master, *keys)
+    assert [ours.random() for _ in range(draws)] == [ref.random() for _ in range(draws)], (master, keys)
+
+
+@pytest.mark.parametrize("head", [(), (5,), (2**40, 0)])
+@pytest.mark.parametrize("master", BLOCK_MASTERS)
+def test_uniforms_are_the_substream_draws_inside_and_outside_a_run(master, head):
+    # two blocks, then lanes on both sides of 2**32, which are not drawn ahead;
+    # 20 draws run past the row drawn ahead
+    for trials in (range(1020, 2050), range(2**32 - 2, 2**32 + 2)):
+        for i in trials[:3]:
+            _check_uniforms(master, (*head, i))
+        for i in stream_run(master, trials, head):
+            _check_uniforms(master, (*head, i))
+            _check_uniforms(master + 1, (*head, i))  # a key the run did not declare
+            assert isinstance(uniforms(master, *head, i), np.random.Generator) == (i >= 2**32)
         assert not models._stored
 
 

@@ -10,7 +10,15 @@ from itertools import product
 import pytest
 
 from specverify import models, oracle, verify
-from specverify.models import ModelPairSpec, TableArModel, generate_model_pair, sample_draft, substream, trace_for
+from specverify.models import (
+    ModelPairSpec,
+    TableArModel,
+    generate_model_pair,
+    sample_draft,
+    substream,
+    trace_for,
+    uniforms,
+)
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
     YieldDistribution,
@@ -202,9 +210,9 @@ def test_monte_carlo_derives_one_substream_per_trial_from_one_block_at_a_time(mo
     def counted(*keys):
         calls.append(keys)
         assert len(models._stored) <= 1024
-        return substream(*keys)
+        return uniforms(*keys)
 
-    monkeypatch.setattr(oracle, "substream", counted)
+    monkeypatch.setattr(oracle, "uniforms", counted)
     monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
     assert calls == [(17, trial) for trial in range(10_000)]
     assert not models._stored
