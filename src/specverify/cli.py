@@ -34,6 +34,7 @@ from .oracle import (
     MULTI_DRAFT_VERIFIERS,
     MUTATIONS,
     SINGLE_DRAFT_VERIFIERS,
+    TAU_LAWS,
     enumerate_yield,
     monte_carlo_fit,
     pool_map,
@@ -46,7 +47,6 @@ from .worked_example import (
     REFERENCE_BRANCH_H,
     REFERENCE_P_COND,
     REFERENCE_Q_COND,
-    deterministic_accepted_length,
     recomputed_chain,
     recomputed_tokenwise_h,
     run_checks,
@@ -168,8 +168,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         ModelPairSpec(args.vocab, depth, derive_seed(args.seed, i), args.eps, args.concentration)
         for i in range(args.pairs)
     ]
-    for spec in specs:
-        spec.validate()
     if args.vocab**length > ENUMERATION_GUARD:
         raise ValueError(f"{args.vocab}^{length} sequences exceed the enumeration guard ({ENUMERATION_GUARD})")
     job = partial(_oracle_pair_job, gamma=args.gamma, length=length, verifiers=verifiers, mutate=args.mutate)
@@ -284,9 +282,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"--gamma must be >= 1, got {g}")
         if args.depth is not None and args.depth < g:
             raise ValueError(f"depth {args.depth} is shallower than gamma {g}")
-        spec = ModelPairSpec(v, args.depth or g, derive_seed(args.seed, i), e, args.concentration)
-        spec.validate()
-        jobs.append((i, g, spec))
+        jobs.append((i, g, ModelPairSpec(v, args.depth or g, derive_seed(args.seed, i), e, args.concentration)))
     results = pool_map(partial(_bench_config_job, n=args.trials, master_seed=args.seed), jobs, args.workers)
     rows = [row for res_rows, _ in results for row in res_rows]
     configs = [config for _, config in results]
@@ -342,7 +338,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if depth < need:
         raise ValueError(f"--depth {depth} is shallower than {need}, the larger of --length and --gamma + 1")
     spec = ModelPairSpec(args.vocab, depth, derive_seed(args.seed, 0), args.eps, args.concentration)
-    spec.validate()
     p_model, q_model = generate_model_pair(spec)
     report = monte_carlo_fit(
         verifier,
@@ -376,12 +371,12 @@ def cmd_example(args: argparse.Namespace) -> int:
     if not args.tolerance >= 0:  # NaN fails too
         raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     checks = run_checks(args.tolerance)
-    chain = recomputed_chain()
+    chain, h_token = recomputed_chain(), recomputed_tokenwise_h()
     shows = {
         "r": chain.r,
         "m": tuple(float(v) for v in chain.m),
         "rstar": chain.clamped_rstar,
-        "tokenwise": recomputed_tokenwise_h(),
+        "tokenwise": h_token,
         "branch": REFERENCE_BRANCH_H,
     }
     if args.show != "all":
@@ -393,7 +388,7 @@ def cmd_example(args: argparse.Namespace) -> int:
             print(
                 f"{i + 1:3d} {REFERENCE_P_COND[i]:8.4f} {REFERENCE_Q_COND[i]:8.4f}"
                 f" {chain.r[i]:8.4f} {chain.m[i]:3d} {chain.clamped_rstar[i]:8.4f}"
-                f" {recomputed_tokenwise_h()[i]:8.4f} {REFERENCE_BRANCH_H[i]:8.4f}"
+                f" {h_token[i]:8.4f} {REFERENCE_BRANCH_H[i]:8.4f}"
             )
         print(
             "note: the reported branch acceptance chain is embedded data; its capped"
@@ -405,7 +400,8 @@ def cmd_example(args: argparse.Namespace) -> int:
         status = "pass" if check.ok else "FAIL"
         print(f"example check {check.name:>14s}: max_err={check.max_error:.2e} tol={args.tolerance:g} {status}")
         ok = ok and check.ok
-    tau = deterministic_accepted_length(REFERENCE_BRANCH_H)
+    law = TAU_LAWS["backward"](REFERENCE_BRANCH_H)
+    tau = law.index(1.0) if 1.0 in law else None  # the scan's tau, when it does not depend on the draws
     tau_ok = tau == REFERENCE_ACCEPTED_LENGTH
     print(
         f"example check accepted_len: backward scan gives tau={tau}"

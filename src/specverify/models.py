@@ -264,7 +264,8 @@ class ModelPairSpec:
     ``divergence_knob`` is the magnitude of the zero-mean logit perturbation
     that turns the target's conditionals into the draft's; zero makes the two
     models identical entrywise.  ``concentration`` scales the raw logits and
-    therefore controls how peaked the generated conditionals are.
+    therefore controls how peaked the generated conditionals are.  A spec
+    validates on construction: a bad value raises ``ValueError`` there.
     """
 
     vocab_size: int
@@ -273,7 +274,7 @@ class ModelPairSpec:
     divergence_knob: float = 0.5
     concentration: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.max_depth < 1:
@@ -375,7 +376,6 @@ def generate_model_pair(spec: ModelPairSpec) -> tuple[TableArModel, TableArModel
     a zero-mean perturbation of magnitude ``divergence_knob``.  Deterministic
     for a fixed seed, and a zero knob reproduces the target bit for bit.
     """
-    spec.validate()
     p = TableArModel(spec.vocab_size, spec.max_depth, generator=_PairGenerator(spec))
     q = TableArModel(spec.vocab_size, spec.max_depth, generator=_PairGenerator(spec, p))
     return p, q

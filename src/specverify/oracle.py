@@ -338,9 +338,10 @@ def monte_carlo_fit(
     when every per-sequence count sits within 4-sigma binomial bounds and the
     empirical total variation stays under ``3 * sqrt(V**L / trials)``.  A
     simulated sequence outside the target's support fails the fit with an
-    infinite z and is reported as the worst sequence.  With ``workers > 1``
-    each chunk pickles both models, so a model whose generator does not
-    pickle (a ``lambda``, say) raises pickle's own error there.
+    infinite z and is reported as the worst sequence.  The trials run in
+    ``min(workers, os.cpu_count())`` chunks, one in this process or each in a
+    worker that receives both models by pickle, so there a model whose
+    generator does not pickle (a ``lambda``, say) raises pickle's own error.
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
@@ -352,6 +353,8 @@ def monte_carlo_fit(
         raise ValueError(f"{verifier} takes exactly one draft")
     if k_drafts < 1:
         raise ValueError(f"k_drafts must be >= 1, got {k_drafts}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if length < gamma:
         raise ValueError(f"length {length} shorter than draft length {gamma}")
     depth = min(p_model.max_depth, q_model.max_depth)
@@ -361,15 +364,12 @@ def monte_carlo_fit(
     expected = target_joint_distribution(p_model, length)  # its enumeration guard, before any trial
 
     run = (master_seed, verifier, gamma, length, k_drafts, mutate)
-    if workers > 1:
-        chunks = min(workers, os.cpu_count() or 1)  # one chunk, run memo and model copy per process
-        bounds = [round(i * trials / chunks) for i in range(chunks + 1)]
-        payloads = [(p_model, q_model, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
-        counts: Counter = Counter()
-        for chunk in pool_map(_mc_chunk, payloads, workers):
-            counts.update(chunk)
-    else:
-        counts = _trial_counts(p_model, q_model, range(trials), *run)
+    chunks = min(workers, os.cpu_count() or 1)  # one chunk, run memo and model copy per process
+    bounds = [round(i * trials / chunks) for i in range(chunks + 1)]
+    payloads = [(p_model, q_model, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
+    counts, *rest = pool_map(_mc_chunk, payloads, workers)  # a single chunk runs in this process
+    for chunk in rest:
+        counts.update(chunk)
 
     z_bound = 4.0
     max_z, z_violations = 0.0, 0

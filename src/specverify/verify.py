@@ -10,7 +10,8 @@ recursive rejection sampling over one draft or several: one draft is the
 single-draft verifier, and each multi-draft verifier of :data:`MULTI_DRAFT`
 scans every draft with a single-draft plan.  Both branch chains run one
 loop: naive-hsd is capped-hsd with every cap index 0.  Blockwise acceptance
-is kept to chain depth, as the independent reference for capped-hsd.
+is kept to chain depth, as the independent reference for capped-hsd; the
+tests check its running clamp against the suffix-minimum closed form.
 
 Inside a run memo (:func:`specverify.models.run_memo`) the sampler builds
 each distinct trace's plan once, and the branch chains each branch's gap
@@ -54,22 +55,11 @@ class VerifyOutcome(NamedTuple):
     events: tuple[Event, ...]
 
 
-def _draw(dist: Dist, rng: np.random.Generator) -> tuple[int, float]:
+def _resample(dist: Dist, position: int, rng: np.random.Generator, events: list[Event], kind: str = "resample") -> int:
+    """Draw one token from ``dist`` and log it as a ``kind`` event."""
     u = rng.random()
-    return index_from_uniform(dist, u), u
-
-
-def _resample(dist: Dist, position: int, rng: np.random.Generator, events: list[Event]) -> int:
-    tok, u = _draw(dist, rng)
-    events.append(Event(position, "resample", dist[tok], u))
-    return tok
-
-
-def _emit_bonus(bonus: Dist | None, position: int, rng: np.random.Generator, events: list[Event]) -> int:
-    if bonus is None:
-        raise ValueError("full draft accepted but the trace has no bonus distribution")
-    tok, u = _draw(bonus, rng)
-    events.append(Event(position, "bonus", bonus[tok], u))
+    tok = index_from_uniform(dist, u)
+    events.append(Event(position, kind, dist[tok], u))
     return tok
 
 
@@ -197,36 +187,22 @@ def capped_hsd_chain(trace: DraftTrace) -> tuple[float, ...]:
 def blockwise_acceptance_chain(trace: DraftTrace) -> tuple[float, ...]:
     """Acceptance chain of blockwise verification.
 
-    Tracks the running clamp ``p_t = min(p_{t-1} * cond_r[t], 1)`` and checks
-    it against its suffix-minimum closed form before using it; the final
-    position accepts with ``p_gamma`` itself.
+    Tracks the running clamp ``p_t = min(p_{t-1} * cond_r[t], 1)``; the final
+    position accepts with ``p_gamma`` itself.  The tests check the clamp
+    against its suffix-minimum closed form.
     """
     cond_r, p_dists, q_dists = ratio_chain(trace).cond_r, trace.p_dists, trace.q_dists
     gamma = len(cond_r)
     clamp = [1.0]
     for cr in cond_r:
         clamp.append(min(clamp[-1] * cr, 1.0))
-    # best[t] = min(1, min over s < t of cond_r[s] * ... * cond_r[t - 1]), each
-    # product built left to right from s and the minimum taken in order of s
-    best = [1.0] * (gamma + 1)
-    for s in range(gamma):
-        prod = 1.0
-        for t in range(s + 1, gamma + 1):
-            prod = prod * cond_r[t - 1]
-            best[t] = min(best[t], prod)
-    for t in range(gamma + 1):
-        if abs(clamp[t] - best[t]) > 1e-12:
-            raise AssertionError(f"clamp recursion {clamp[t]!r} disagrees with suffix minimum {best[t]!r} at {t}")
     h = []
-    for t in range(1, gamma + 1):
-        if t == gamma:
-            h.append(clamp[gamma])
-            break
+    for t in range(1, gamma):
         pt = clamp[t]
         num = math.fsum([g for px, qx in zip(p_dists[t], q_dists[t]) if (g := pt * px - qx) > 0.0])
         den = num + (1.0 - pt)
         h.append(1.0 if den <= 0.0 else num / den)
-    return tuple(h)
+    return (*h, clamp[gamma])
 
 
 def expected_accept_length(h: tuple[float, ...], mode: str) -> float:
@@ -348,7 +324,10 @@ def _verify(
             tau += t_local
             accepted = tr.tokens[:tau]
         if tau == gamma:
-            return VerifyOutcome(tau, accepted + (_emit_bonus(tr.bonus_dist, gamma + 1, rng, events),), tuple(events))
+            if tr.bonus_dist is None:
+                raise ValueError("full draft accepted but the trace has no bonus distribution")
+            bonus = _resample(tr.bonus_dist, gamma + 1, rng, events, "bonus")
+            return VerifyOutcome(tau, accepted + (bonus,), tuple(events))
         if residual is None:  # no single-step residual: refill every position to the end of the block
             emitted = list(accepted)
             for t in range(tau, gamma):

@@ -24,6 +24,15 @@ def pair_for(seed, vocab=3, depth=4, eps=0.8, conc=1.2):
     )
 
 
+def exact_grid_pairs():
+    """Criterion 3's exact grid: 3 seeded ``(p, q, gamma)`` at each V, gamma in {2,3,4}, eps in {0.5,1}."""
+    grid = [(v, g, e) for v in (2, 3, 4) for g in (2, 3, 4) for e in (0.5, 1.0)]
+    for index, (vocab, gamma, eps) in enumerate(grid):
+        for k in range(3):
+            p, q = pair_for(34_000 + 10 * index + k, vocab=vocab, depth=gamma, eps=eps, conc=1.0)
+            yield p, q, gamma
+
+
 def stray_tokenwise(every):
     """A tokenwise verifier that emits the out-of-range token V on every ``every``-th call.
 

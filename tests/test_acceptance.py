@@ -49,7 +49,7 @@ from specverify.worked_example import (
     run_checks,
 )
 
-from conftest import pair_for
+from conftest import exact_grid_pairs, pair_for
 
 VERIFIERS = ("tokenwise", "naive-hsd", "capped-hsd")
 
@@ -153,15 +153,6 @@ def exact_block_ordering(p, q, gamma, chain_builder=blockwise_acceptance_chain):
         "mean_block": mean_block,
         "mean_token": mean_token,
     }
-
-
-def exact_grid_pairs():
-    """Criterion 3's exact grid: 3 seeded ``(p, q, gamma)`` at each V, gamma in {2,3,4}, eps in {0.5,1}."""
-    grid = [(v, g, e) for v in (2, 3, 4) for g in (2, 3, 4) for e in (0.5, 1.0)]
-    for index, (vocab, gamma, eps) in enumerate(grid):
-        for k in range(3):
-            p, q = pair_for(34_000 + 10 * index + k, vocab=vocab, depth=gamma, eps=eps, conc=1.0)
-            yield p, q, gamma
 
 
 def exact_block_ordering_sweep(chain_builder=blockwise_acceptance_chain):

@@ -37,6 +37,23 @@ def test_example_show_tokenwise_prints_the_chain(capsys):
     assert out.splitlines()[0].startswith("0.8159, 1.0000, 1.0000, 1.0000, 0.0000")
 
 
+EXAMPLE_STDOUT_SHA256 = {  # every byte `specverify example --show <value>` prints
+    "all": "8ac060a1f3e2599d5a2db2c9b46866aeb917a1d6dc3601359ba0b94f80ff7ff1",
+    "r": "01458399e35e67b2dc773c2f779598b994f3696b3b6463a756a23849106d2acd",
+    "m": "56c0f1a1dfa3762042c7da114fe67a28f15d94e22cd790deb6229cff19a37966",
+    "rstar": "5e4e0f89b1577653992d0f7f6754c75d4a697d09a8d44a2fb95bbb1eca778276",
+    "tokenwise": "6535220c566fb98a6373badf6c48bc061a663ea2e800769b9314f816ec12b25e",
+    "branch": "8098a0714bc07e502355ed68fc7396b9e1e4384e109b0470083e960e3347e644",
+}
+
+
+@pytest.mark.parametrize("show", EXAMPLE_STDOUT_SHA256)
+def test_example_stdout_matches_the_golden_digest(capsys, show):
+    code, out, _ = run(["example", "--show", show], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_STDOUT_SHA256[show]
+
+
 def test_example_fails_at_unreachable_tolerance(capsys):
     code, out, _ = run(["example", "--tolerance", "1e-9"], capsys)
     assert code == EXIT_SCIENCE

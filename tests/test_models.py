@@ -66,9 +66,8 @@ def test_bad_pair_specs_are_rejected(kwargs):
 @pytest.mark.parametrize("field", ["divergence_knob", "concentration"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_knobs_are_rejected_by_name(field, value):
-    spec = ModelPairSpec(4, 3, 1, **{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-        spec.validate()
+        ModelPairSpec(4, 3, 1, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -81,9 +80,8 @@ def test_non_finite_knobs_are_rejected_by_name(field, value):
     ],
 )
 def test_knobs_that_could_overflow_a_logit_are_rejected_by_name(knobs):
-    spec = ModelPairSpec(4, 3, 1, **knobs)
     with pytest.raises(ValueError, match=r"^concentration \+ divergence_knob must be <= 6\.42e\+306, got "):
-        spec.validate()
+        ModelPairSpec(4, 3, 1, **knobs)
 
 
 def test_knobs_up_to_the_cap_generate_without_overflow():

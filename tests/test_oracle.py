@@ -480,6 +480,33 @@ def test_the_enumeration_guard_is_checked_before_any_trial(monkeypatch):
             monte_carlo_fit("capped-hsd", p, q, 2, 4, 10_000, 1, workers=workers)
 
 
+def test_monte_carlo_refuses_fewer_than_one_worker_before_any_trial(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+
+    def no_trials(*args):
+        raise AssertionError("trials ran before the worker count was checked")
+
+    monkeypatch.setattr(oracle, "pool_map", no_trials)
+    for workers in (0, -1, -4):
+        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+            monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 1, workers=workers)
+
+
+def test_a_serial_fit_tallies_its_trials_in_one_counter(monkeypatch):
+    # one chunk runs in this process and its Counter is the fit's histogram
+    made = []
+
+    class Recording(collections.Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(oracle, "Counter", Recording)
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    report = monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 1)
+    assert len(made) == 1 and sum(made[0].values()) == report.trials
+
+
 def test_a_target_joint_deeper_than_its_model_is_refused():
     p, _ = pair_for(5, vocab=2, depth=1, eps=0.8)
     assert target_joint_distribution(p, 1).total() == pytest.approx(1.0)

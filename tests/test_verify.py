@@ -4,6 +4,8 @@ import pickle
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specverify.divergence import (
     RatioChain,
@@ -12,6 +14,7 @@ from specverify.divergence import (
     joint_products,
     ratio_chain,
 )
+from specverify.metrics import whole_draft_acceptance
 from specverify.models import DraftTrace, index_from_uniform, sample_draft, substream, trace_for
 from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
@@ -40,7 +43,7 @@ from specverify.worked_example import (
     REFERENCE_TOKENWISE_H,
 )
 
-from conftest import pair_for
+from conftest import exact_grid_pairs, pair_for
 
 
 def synthetic_trace(p_cond, q_cond):
@@ -147,11 +150,31 @@ def definitional_naive_chain(trace):
     return (*h, min(chain.r[-1], 1.0))
 
 
-def definitional_blockwise_h(trace):
-    """Blockwise acceptance chain with its per-position sum as ``fsum(max(gap, 0))``."""
-    clamp = [1.0]
-    for cr in ratio_chain(trace).cond_r:
-        clamp.append(min(clamp[-1] * cr, 1.0))
+def suffix_minimum_clamp(trace):
+    """Block verification's clamp ``p_0 .. p_gamma`` in closed form, the reference for the library's recursion.
+
+    ``p_t = min(1, min over s < t of cond_r[s] * ... * cond_r[t - 1])``, each product built left to
+    right from ``s`` and the minimum taken in order of ``s``.
+    """
+    cond_r = ratio_chain(trace).cond_r
+    best = [1.0] * (len(cond_r) + 1)
+    for s in range(len(cond_r)):
+        prod = 1.0
+        for t in range(s + 1, len(cond_r) + 1):
+            prod = prod * cond_r[t - 1]
+            best[t] = min(best[t], prod)
+    return best
+
+
+def definitional_blockwise_h(trace, clamp=None):
+    """Blockwise acceptance chain with its per-position sum as ``fsum(max(gap, 0))``.
+
+    ``clamp`` is ``p_0 .. p_gamma``, by default the running ``p_t = min(p_{t-1} * cond_r[t], 1)``.
+    """
+    if clamp is None:
+        clamp = [1.0]
+        for cr in ratio_chain(trace).cond_r:
+            clamp.append(min(clamp[-1] * cr, 1.0))
     h = []
     for t in range(1, trace.gamma):
         pt = clamp[t]
@@ -215,12 +238,36 @@ def test_naive_accepts_a_branch_without_excess_silently(caplog):
     assert not caplog.records
 
 
+def assert_block_chain_matches_the_suffix_minimum(trace):
+    """The library's block chain and whole-draft block acceptance, against the clamp's closed form, to 1e-12."""
+    clamp = suffix_minimum_clamp(trace)
+    reference, h = definitional_blockwise_h(trace, clamp), blockwise_acceptance_chain(trace)
+    assert len(h) == len(reference) == trace.gamma
+    for t, (got, want) in enumerate(zip(h, reference), 1):
+        assert abs(got - want) <= 1e-12, (t, h, reference)
+    assert abs(whole_draft_acceptance(trace)["block"] - clamp[-1]) <= 1e-12
+
+
 def test_blockwise_recursion_matches_suffix_minimum():
-    # the chain constructor raises if the closed form ever disagrees
-    for seed in range(100):
-        p, q = pair_for(seed, vocab=4, depth=6, eps=1.0)
-        trace = sample_draft(q, p, (), 6, substream(34, seed))
-        blockwise_acceptance_chain(trace)
+    # every draft of criterion 3's exact grid
+    for p, q, gamma in exact_grid_pairs():
+        for draft in product(range(p.vocab_size), repeat=gamma):
+            assert_block_chain_matches_the_suffix_minimum(trace_for(q, p, (), draft))
+
+
+@st.composite
+def raw_ratio_traces(draw):
+    """V=2 traces drafting token 0 whose conditional ratios include zeros and ratios above 1."""
+    ratio = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 16.0))
+    ratios = draw(st.lists(ratio, min_size=1, max_size=8))
+    q_cond = [draw(st.floats(0.01, 1.0 / max(r, 1.0))) for r in ratios]
+    return synthetic_trace([min(r * qc, 1.0) for r, qc in zip(ratios, q_cond)], q_cond)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_ratio_traces())
+def test_blockwise_recursion_matches_suffix_minimum_on_raw_ratio_chains(trace):
+    assert_block_chain_matches_the_suffix_minimum(trace)
 
 
 def test_capped_chain_dominates_blockwise_per_position():
@@ -408,11 +455,16 @@ def test_capped_emits_exactly_one_extra_token(small_pair):
     assert 3 in taus
 
 
-def test_capped_requires_the_bonus_distribution(identical_pair):
+def test_full_acceptance_requires_the_bonus_distribution(identical_pair):
     p, q = identical_pair
-    trace = trace_for(q, p, (), (0, 1, 2, 0))  # full depth, no bonus possible
-    with pytest.raises(ValueError):
-        capped_hsd_verify(trace, substream(53))
+    trace = trace_for(q, p, (), (0, 1, 2, 0))  # full depth, no bonus possible; identical models accept it whole
+    for verify in (
+        lambda: tokenwise_verify(trace, substream(53)),
+        lambda: capped_hsd_verify(trace, substream(53)),
+        lambda: multidraft_hsd_verify([trace, trace], substream(53)),
+    ):
+        with pytest.raises(ValueError, match="^full draft accepted but the trace has no bonus distribution$"):
+            verify()
 
 
 # ---------------------------------------------------------------------------
