@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from .metrics import method_expected_tau, whole_draft_acceptance
-from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, stream_run, uniforms
+from .models import ModelPairSpec, generate_model_pair, sample_draft, seed_state, stream_run
 from .oracle import (
     ENUMERATION_GUARD,
     MULTI_DRAFT_VERIFIERS,
@@ -63,7 +63,7 @@ STRICT_GAP = 1e-9
 
 def derive_seed(master: int, *keys: int) -> int:
     """Stable 64-bit seed for a sub-experiment."""
-    return int(seed_state(master, keys, 1)[0])
+    return int(seed_state(master, keys)[0])
 
 
 def _write_report(args: argparse.Namespace, stem: str, doc: dict, rows: list[dict]) -> Path:
@@ -215,8 +215,7 @@ def _bench_config_job(job: tuple[int, int, ModelPairSpec], n: int, master_seed: 
     block_below_token = 0  # allowed per trace: the ordering holds over drafts
     strict_branch_block = 0
     strict_block_token = 0
-    for draft_index in stream_run(master_seed, range(n), head=(index,)):
-        rng = uniforms(master_seed, index, draft_index)
+    for rng in stream_run(master_seed, range(n), head=(index,)):
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         e_tok = method_expected_tau("tokenwise", trace)
         e_blk = method_expected_tau("blockwise", trace)
@@ -423,12 +422,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def common(sp: argparse.ArgumentParser, *, workers: bool = True) -> None:
-        sp.add_argument("--seed", type=int, default=42, help="master seed")
-        sp.add_argument("--concentration", type=float, default=1.0, help="peakedness of generated conditionals")
-        sp.add_argument("--out", type=str, default=None, help=f"output path (default: ${ENV_OUT_DIR} or cwd)")
+    def common(sp: argparse.ArgumentParser, *, run: bool = True) -> None:
         sp.add_argument("--config", type=str, default=None, help="JSON config file; explicit flags win")
-        if workers:
+        if run:  # the flags of a seeded run that writes a report
+            sp.add_argument("--seed", type=int, default=42, help="master seed")
+            sp.add_argument("--concentration", type=float, default=1.0, help="peakedness of generated conditionals")
+            sp.add_argument("--out", type=str, default=None, help=f"output path (default: ${ENV_OUT_DIR} or cwd)")
             sp.add_argument("--workers", type=int, default=1, help="worker processes (never changes results)")
 
     sp = subs.add_parser("oracle", help="exhaustive losslessness check")
@@ -476,7 +475,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = subs.add_parser("example", help="replay the embedded worked example")
     sp.add_argument("--show", type=str, default="all", choices=["all", "r", "m", "rstar", "tokenwise", "branch"])
     sp.add_argument("--tolerance", type=float, default=1e-3)
-    common(sp, workers=False)
+    common(sp, run=False)
     subparsers["example"] = sp
 
     return parser, subparsers

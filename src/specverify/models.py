@@ -25,6 +25,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.random import Generator
 from numpy.random.bit_generator import ISeedSequence
 
 # A categorical distribution over token ids [0, V); entries sum to 1.
@@ -49,7 +50,7 @@ _BLOCK = 1024  # a stream_run derives this many streams at a time
 # trial draws at most 6 (single-draft fits), 10 (multidraft-hsd K=2) or 11 (multidraft-tokenwise
 # K=3), and 13 or 14 in 1.3-2.0% of multidraft-hsd K=3 trials; a bench draft draws gamma <= 10.
 _ROW = 12
-_stored: dict[tuple[int, ...], tuple] = {}  # (master_seed, *keys) -> (first uniforms, state words), per run block
+_stored: dict[tuple[int, ...], list[int]] = {}  # (master_seed, *keys) -> seed-state words, per run block
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # numpy's PCG64 multiplier, by uint64 half
 
 
@@ -67,8 +68,8 @@ def _key_words(keys: tuple[int, ...]) -> list[int]:
     return words
 
 
-def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndarray:
-    """``SeedSequence((master_seed & 2**64 - 1, *keys)).generate_state(n_words, np.uint64)``.
+def seed_state(master_seed: int, keys: tuple[int, ...]) -> np.ndarray:
+    """``SeedSequence((master_seed & 2**64 - 1, *keys)).generate_state(4, np.uint64)``, the words PCG64 seeds from.
 
     The keys are split into uint32 words here, and only the mixing of those
     words into the pool is left to numpy.
@@ -76,7 +77,7 @@ def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndar
     words = _key_words((master_seed & _SEED_MASK, *keys))
     pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
     state = []
-    for i, (xor, mult) in enumerate(_STATE_HASH[: 2 * n_words]):
+    for i, (xor, mult) in enumerate(_STATE_HASH):
         # output word i cycles over the 4 pool words
         word = (pool[i & 3] ^ xor) * mult & _MASK32
         state.append(word ^ word >> 16)
@@ -85,7 +86,7 @@ def seed_state(master_seed: int, keys: tuple[int, ...], n_words: int) -> np.ndar
 
 
 def _lane_states(master_seed: int, head: tuple[int, ...], lanes: list[int]) -> np.ndarray:
-    """Row j is ``seed_state(master_seed, (*head, lanes[j]), 4)``, for lanes below 2**32.
+    """Row j is ``seed_state(master_seed, (*head, lanes[j]))``, for lanes below 2**32.
 
     numpy's SeedSequence mixes its words by uint32 hash-and-mix steps whose
     constants do not depend on the entropy, and uint32 arrays wrap mod 2**32
@@ -153,24 +154,26 @@ def _lane_uniforms(states: np.ndarray, n: int) -> np.ndarray:
     return out * 2.0**-53
 
 
-def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[int]:
-    """Yield ``trials`` while :func:`uniforms` finds the first draws of ``(master_seed, *head, i)`` ready.
+def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[_DrawnAhead | Generator]:
+    """Yield, for each trial ``i``, the draws of ``substream(master_seed, *head, i)``, taken by ``.random()``.
 
     A block's seed states and each stream's first ``_ROW`` uniforms are
-    derived in one numpy pass, bit-identical to :func:`substream`'s, and
-    dropped when the loop leaves the block, also on an exception.  A trial
-    that draws more continues on :func:`substream`, which takes the state
-    from the block.  Keys outside ``[0, 2**32)`` are left to the scalar path.
+    derived in one numpy pass, bit-identical to :func:`substream`'s.  A trial
+    gets its row as a :class:`_DrawnAhead`, built as it comes up, and past it
+    :func:`substream`, which reads the state from the block's store until the
+    loop leaves the block, also on an exception.  Keys outside ``[0, 2**32)`` get :func:`substream`.
     """
     for j in range(0, len(trials), _BLOCK):
         block = trials[j : j + _BLOCK]
-        lanes = [i for i in block if 0 <= i <= _MASK32]
-        keys = [(master_seed, *head, i) for i in lanes]
-        states = _lane_states(master_seed, head, lanes)
-        _stored.update(zip(keys, zip(_lane_uniforms(states, _ROW).tolist(), states.tolist())))
+        keys = [(master_seed, *head, i) for i in block if 0 <= i <= _MASK32]
+        states = _lane_states(master_seed, head, [key[-1] for key in keys])
+        _stored.update(zip(keys, states.tolist()))
+        rows = zip(_lane_uniforms(states, _ROW).tolist(), keys)
         try:
-            yield from block
+            for i in block:
+                yield _DrawnAhead(*next(rows)) if 0 <= i <= _MASK32 else substream(master_seed, *head, i)
         finally:
+            del rows  # free this block's rows before the next block derives its own
             for key in keys:
                 _stored.pop(key, None)
 
@@ -192,20 +195,19 @@ def substream(master_seed: int, *keys: int) -> np.random.Generator:
     derivation is deterministic, so trials can run concurrently or in any
     order without sharing generator state.  The stream equals
     ``np.random.default_rng(np.random.SeedSequence((master_seed & 2**64 - 1, *keys)))``
-    bit for bit, and negative keys raise ``ValueError`` as there.  A declared
-    :func:`stream_run` derives its streams' seed states in blocks, also bit
-    for bit; a sampler, which needs only ``.random()``, draws the same
-    uniforms from :func:`uniforms`.  Unlike numpy's generator, the returned
-    one's ``bit_generator.seed_seq`` cannot ``spawn``.
+    bit for bit, and negative keys raise ``ValueError`` as there.  Inside a
+    :func:`stream_run` block the seed state of each of its keys is read from
+    the block's store instead of derived again.  Unlike numpy's generator,
+    the returned one's ``bit_generator.seed_seq`` cannot ``spawn``.
     """
     stored = _stored.get((master_seed, *keys)) if _stored else None
-    state = seed_state(master_seed, keys, 4) if stored is None else np.array(stored[1], np.uint64)
+    state = seed_state(master_seed, keys) if stored is None else np.array(stored, np.uint64)
     # PCG64 seeds itself from generate_state(4, np.uint64)
     return np.random.Generator(np.random.PCG64(_FixedSeedState(state)))
 
 
 class _DrawnAhead:
-    """The uniforms of ``substream(*key)``: first the row a block drew ahead, then the stream past it."""
+    """A trial's draws in a :func:`stream_run`: its block's row of ``substream(*key)``, then the stream past it."""
 
     __slots__ = ("_draws", "_key")
 
@@ -219,17 +221,6 @@ class _DrawnAhead:
         rest.random(_ROW)  # skip the row's draws
         self._draws = iter(rest.random, None)  # endless: random() never returns None
         return self.random()
-
-
-def uniforms(master_seed: int, *keys: int) -> np.random.Generator | _DrawnAhead:
-    """``substream(master_seed, *keys)`` as a sampler uses it, by ``.random()`` alone.
-
-    Inside a :func:`stream_run` that declared the key, the first ``_ROW`` uniforms come from its
-    block and the rest from the stream past them; elsewhere this is the stream itself.
-    """
-    key = (master_seed, *keys)
-    stored = _stored.get(key) if _stored else None
-    return substream(master_seed, *keys) if stored is None else _DrawnAhead(stored[0], key)
 
 
 def index_from_uniform(dist: Dist, u: float) -> int:
@@ -516,7 +507,7 @@ def sample_draft(
     drafted contexts, fetched once per context, and a repeated draft returns
     the same trace object; the same uniforms invert the same conditionals, so
     the drafts are bit-identical.  Outside a run nothing is stored.  ``rng``
-    is a stream, or :func:`uniforms` of one: only its ``.random()`` is called.
+    is a stream or a :func:`stream_run` yield: only its ``.random()`` is called.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .divergence import joint_products
 from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
-from .models import stream_run, trace_for, uniforms
+from .models import stream_run, trace_for
 from .verify import (
     MULTI_DRAFT,
     SINGLE_DRAFT,
@@ -270,7 +270,7 @@ def _simulate_sequence(
     mutate: str | None,
     rng: np.random.Generator,
 ) -> Sequence:
-    """One end-to-end generation: draft, verify, continue from the target; ``rng`` needs only ``.random()``."""
+    """One end-to-end generation: draft, verify, continue, by ``.random()`` of a :func:`models.stream_run` yield."""
     if verifier in SINGLE_DRAFT_VERIFIERS:
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         if mutate is not None:  # h-double, the one mutation sampling can see
@@ -293,12 +293,13 @@ def _simulate_sequence(
     return seq
 
 
-def _trial_counts(p_model: TableArModel, q_model: TableArModel, trials: range, master_seed: int, *run) -> Counter:
-    """Tally the sequences ``trials`` generate; ``run`` is ``(verifier, gamma, length, k_drafts, mutate)``."""
+def _trial_counts(payload: tuple) -> Counter:
+    """Tally the sequences one chunk's trials generate; :func:`monte_carlo_fit` builds its ``payload``."""
+    p_model, q_model, trials, master_seed, *run = payload
     counts: Counter = Counter()
     with run_memo(RUN_MEMO_CAP):
-        for trial in stream_run(master_seed, trials):
-            counts[_simulate_sequence(p_model, q_model, *run, uniforms(master_seed, trial))] += 1
+        for rng in stream_run(master_seed, trials):
+            counts[_simulate_sequence(p_model, q_model, *run, rng)] += 1
     return counts
 
 
@@ -313,10 +314,6 @@ def pool_map(fn, payloads: list, workers: int) -> list:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, payloads))
-
-
-def _mc_chunk(payload: tuple) -> Counter:
-    return _trial_counts(*payload)
 
 
 def monte_carlo_fit(
@@ -367,7 +364,7 @@ def monte_carlo_fit(
     chunks = min(workers, os.cpu_count() or 1)  # one chunk, run memo and model copy per process
     bounds = [round(i * trials / chunks) for i in range(chunks + 1)]
     payloads = [(p_model, q_model, range(start, stop), *run) for start, stop in zip(bounds[:-1], bounds[1:])]
-    counts, *rest = pool_map(_mc_chunk, payloads, workers)  # a single chunk runs in this process
+    counts, *rest = pool_map(_trial_counts, payloads, workers)  # a single chunk runs in this process
     for chunk in rest:
         counts.update(chunk)
 
@@ -388,7 +385,7 @@ def monte_carlo_fit(
             max_z = max(max_z, z)
             if z > z_bound:
                 z_violations += 1
-        elif count > 0:  # impossible sequence observed
+        elif count != trials * p_s:  # an impossible sequence observed, or a sure one missed
             z_violations += 1
             max_z = math.inf
     # a sequence the target cannot emit at all (a token out of range) is the

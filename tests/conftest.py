@@ -33,8 +33,8 @@ def exact_grid_pairs():
             yield p, q, gamma
 
 
-def stray_tokenwise(every):
-    """A tokenwise verifier that emits the out-of-range token V on every ``every``-th call.
+def stray_tokenwise(every, token=None):
+    """A tokenwise verifier that emits ``token``, by default the out-of-range V, on every ``every``-th call.
 
     The stray output covers the whole draft plus its bonus, so no target
     continuation is asked for the impossible prefix.
@@ -46,7 +46,7 @@ def stray_tokenwise(every):
         calls[0] += 1
         if calls[0] % every:
             return outcome
-        vocab = len(trace.q_dists[0])
-        return VerifyOutcome(outcome.tau, (vocab,) * (trace.gamma + 1), outcome.events)
+        stray = len(trace.q_dists[0]) if token is None else token
+        return VerifyOutcome(outcome.tau, (stray,) * (trace.gamma + 1), outcome.events)
 
     return verify

@@ -69,6 +69,15 @@ def test_a_negative_or_nan_tolerance_is_a_usage_error_before_the_checks(capsys, 
         assert err == f"error: --tolerance must be >= 0, got {float(value)}\n", value
 
 
+@pytest.mark.parametrize("flag", ["--seed=3", "--concentration=-3", "--out=/nonexistent/x", "--workers=2"])
+def test_example_refuses_the_flags_of_a_seeded_run(capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "run_checks", no_work)
+    code, out, err = run(["example", flag], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_a_zero_tolerance_is_valid(capsys):
     code, out, _ = run(["example", "--tolerance", "0"], capsys)
     assert code == EXIT_SCIENCE  # the rounded reference values miss by more than 0 ...
@@ -320,6 +329,17 @@ def test_mc_exits_with_science_failure_on_stray_sequences(tmp_path, capsys, monk
     assert report["worst_sequence"] == [2, 2]
 
 
+def test_mc_passes_a_target_whose_only_sequence_is_sure(tmp_path, capsys):
+    # at concentration 1000 the target's first token has probability 1.0
+    out_path = tmp_path / "mc.json"
+    argv = ["mc", "--vocab", "2", "--gamma", "1", "--length", "1", "--concentration", "1000", "--trials", "10000"]
+    code, out, _ = run(argv + ["--out", str(out_path)], capsys)
+    assert code == EXIT_OK
+    assert "max_z=0.00  pass" in out
+    report = json.loads(out_path.read_text())["report"]
+    assert (report["tv"], report["z_violations"], report["worst_sequence"]) == (0.0, 0, [])
+
+
 def test_mc_naive_has_no_multidraft_variant(tmp_path, capsys):
     code, _, err = run(["mc", "--verifier", "naive-hsd", "--drafts", "2", "--out", str(tmp_path / "x")], capsys)
     assert code == EXIT_USAGE
@@ -440,6 +460,26 @@ def test_a_length_below_gamma_is_a_usage_error_before_any_work(tmp_path, capsys,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["oracle", "--verifiers", "tokenwise,nonsense"],
+            f"unknown verifier 'nonsense'; oracle enumerates {oracle.SINGLE_DRAFT_VERIFIERS}",
+        ),
+        (["bench", "--gamma", "2,5", "--depth", "3"], "depth 3 is shallower than gamma 5"),
+    ],
+    ids=["oracle-verifier", "bench-depth"],
+)
+def test_a_verifier_or_depth_no_run_can_use_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
+    out_path = tmp_path / "report"
+    code, out, err = run(argv + ["--out", str(out_path)], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file, env var, usage errors
 # ---------------------------------------------------------------------------
@@ -450,6 +490,8 @@ def test_an_empty_certificate_is_a_usage_error(tmp_path, capsys):
     out_path = tmp_path / "report"
     for argv in (
         ["oracle", "--verifiers", ","],
+        ["oracle", "--pairs", "0"],
+        ["bench", "--trials", "0"],
         ["bench", "--vocab", ""],
         ["bench", "--gamma", ","],
         ["bench", "--eps", ""],
@@ -531,6 +573,7 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
         ("mc", {"trials": 20000.0}, "config key 'trials'"),
         ("bench", {"vocab": 8}, "config key 'vocab'"),
         ("bench", {"gamma": "2,x"}, "config key 'gamma'"),
+        ("mc", ["trials", 20000], "config file must hold a JSON object"),
     ],
     ids=[
         "unknown-key",
@@ -545,6 +588,7 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
         "float-trials",
         "scalar-bench-vocab",
         "unparsed-string",
+        "not-an-object",
     ],
 )
 def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch, command, overrides, message):
@@ -552,7 +596,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch, command
     monkeypatch.setattr(cli, "generate_model_pair", no_work)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(overrides))
-    code, _, err = run([command, "--config", str(config), "--out", str(tmp_path / "out")], capsys)
+    report = [] if command == "example" else ["--out", str(tmp_path / "out")]  # example writes no report
+    code, _, err = run([command, "--config", str(config), *report], capsys)
     assert code == EXIT_USAGE
     assert message in err
     assert not (tmp_path / "out").exists()

@@ -186,6 +186,11 @@ def test_ratio_chain_rejects_zero_draft_probability():
         ratio_chain_from_conditionals((0.5, 0.5), (0.5, 0.0))
 
 
+def test_ratio_chain_rejects_conditional_lists_of_different_lengths():
+    with pytest.raises(ValueError, match=r"^conditional lists differ in length: 2 vs 1$"):
+        ratio_chain_from_conditionals((0.5, 0.5), (0.5,))
+
+
 def test_ratio_chain_rejects_empty_trace():
     with pytest.raises(ValueError):
         ratio_chain_from_conditionals((), ())

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import re
 import struct
 import threading
 from itertools import product
@@ -17,12 +18,12 @@ from specverify.models import (
     ModelPairSpec,
     TableArModel,
     generate_model_pair,
+    index_from_uniform,
     sample_draft,
     seed_state,
     stream_run,
     substream,
     trace_for,
-    uniforms,
 )
 
 from conftest import pair_for
@@ -334,6 +335,36 @@ def test_a_pickled_pair_keeps_its_conditionals_and_its_link_to_the_target():
     assert pickle.loads(pickle.dumps(explicit)).conditional(()) == (0.25, 0.75)
 
 
+def uniform_model(vocab, depth):
+    return TableArModel(vocab, depth, generator=lambda prefix: (1.0 / vocab,) * vocab)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TableArModel(1, 1, table={(): (1.0,)}), "vocab_size must be >= 2, got 1"),
+        (lambda: TableArModel(2, 0, table={(): (0.5, 0.5)}), "max_depth must be >= 1, got 0"),
+        (lambda: TableArModel(2, 1, table={(): (0.2, 0.8, 0.0)}), "distribution for prefix () has length 3, expected 2"),
+        (lambda: TableArModel(2, 2, table={(): (0.5, 0.5)}).conditional((1,)), "prefix (1,) missing from explicit table"),
+        (lambda: trace_for(uniform_model(3, 2), uniform_model(2, 2), (), (0,)), "vocab mismatch: draft 3 vs target 2"),
+        (
+            lambda: trace_for(uniform_model(2, 3), uniform_model(2, 2), (0,), (0, 1)),
+            "prefix(1) + draft(2) exceeds model depth 2",
+        ),
+    ],
+    ids=["vocab", "depth", "row-length", "missing-prefix", "trace-vocab", "trace-depth"],
+)
+def test_bad_model_arguments_are_refused_by_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_uniform_in_the_rounding_sliver_takes_the_last_positive_token():
+    dist = (0.3, 0.35, 0.35, 0.0)
+    assert math.fsum(dist) == 1.0 and 0.3 + 0.35 + 0.35 == 1 - 2**-53  # the running sum stops short of 1
+    assert index_from_uniform(dist, 1 - 2**-53) == 2
+
+
 def test_explicit_table_validation():
     with pytest.raises(ValueError):
         TableArModel(2, 1, table={(): (0.7, 0.4)})
@@ -395,21 +426,27 @@ def test_substream_rejects_negative_keys_like_numpy(keys):
         derive_seed(7, *keys)
 
 
+def _check_draws(master, keys, rng, draws=20):
+    """``rng`` draws numpy's stream of ``(master, *keys)``, past the row drawn ahead too."""
+    ref = _numpy_stream(master, *keys)
+    assert [rng.random() for _ in range(draws)] == ref.random(draws).tolist(), (master, keys)
+
+
 def _check_stream_run(master, trials, head=()):
-    """Walk a declared run: each block row is seed_state's and numpy's first uniforms, each stream numpy's."""
+    """Walk a run: each yield is numpy's stream of its key, and each stored state is seed_state's and numpy's."""
     visited = []
-    for i in stream_run(master, trials, head):
+    for rng in stream_run(master, trials, head):
+        i = trials[len(visited)]
         assert len(models._stored) <= 1024
         stored = models._stored.get((master, *head, i))
         if 0 <= i < 2**32:
-            row, state = stored
-            assert state == seed_state(master, (*head, i), 4).tolist(), (master, head, i)
-            assert row == _numpy_stream(master, *head, i).random(models._ROW).tolist(), (master, head, i)
+            assert isinstance(rng, models._DrawnAhead)
+            assert stored == seed_state(master, (*head, i)).tolist(), (master, head, i)
         else:
-            assert stored is None  # wider keys take the scalar path
+            assert isinstance(rng, np.random.Generator) and stored is None  # wider keys take the scalar path
         ours, ref = substream(master, *head, i), _numpy_stream(master, *head, i)
         assert ours.bit_generator.state == ref.bit_generator.state, (master, head, i)
-        assert ours.random(2).tolist() == ref.random(2).tolist()
+        _check_draws(master, (*head, i), rng)
         visited.append(i)
     assert visited == list(trials)
     assert not models._stored
@@ -446,7 +483,7 @@ def test_stream_run_matches_numpy_for_any_master_and_range(master, start, size, 
 def test_a_stored_state_answers_only_its_own_key_tuple():
     master = 2026
     for head in ((), (3,)):
-        for i in stream_run(master, range(4), head):
+        for i, _ in enumerate(stream_run(master, range(4), head)):
             for keys in ((*head, i), (*head, i, 0), (i,), (i, 0)):
                 for m in (master, master + 1):
                     ours, ref = substream(m, *keys), _numpy_stream(m, *keys)
@@ -468,24 +505,33 @@ def test_lane_uniforms_are_numpy_pcg64_draws(states, n):
         assert row.tolist() == ref.random(n).tolist(), state
 
 
-def _check_uniforms(master, keys, draws=20):
-    ours, ref = uniforms(master, *keys), substream(master, *keys)
-    assert [ours.random() for _ in range(draws)] == [ref.random() for _ in range(draws)], (master, keys)
-
-
 @pytest.mark.parametrize("head", [(), (5,), (2**40, 0)])
 @pytest.mark.parametrize("master", BLOCK_MASTERS)
 def test_uniforms_are_the_substream_draws_inside_and_outside_a_run(master, head):
-    # two blocks, then lanes on both sides of 2**32, which are not drawn ahead;
-    # 20 draws run past the row drawn ahead
+    # two blocks, then lanes on both sides of 2**32, which are not drawn ahead; every
+    # other yield is drawn after the run, whose store is gone by then
     for trials in (range(1020, 2050), range(2**32 - 2, 2**32 + 2)):
-        for i in trials[:3]:
-            _check_uniforms(master, (*head, i))
-        for i in stream_run(master, trials, head):
-            _check_uniforms(master, (*head, i))
-            _check_uniforms(master + 1, (*head, i))  # a key the run did not declare
-            assert isinstance(uniforms(master, *head, i), np.random.Generator) == (i >= 2**32)
+        kept = []
+        for rng, i in zip(stream_run(master, trials, head), trials):
+            if i % 2:
+                kept.append((i, rng))
+            else:
+                _check_draws(master, (*head, i), rng)
         assert not models._stored
+        for i, rng in kept:
+            _check_draws(master, (*head, i), rng)
+
+
+def test_a_run_left_early_stores_nothing():
+    with pytest.raises(RuntimeError, match="trial 1,500"):
+        for n, _ in enumerate(stream_run(7, range(3_000), (2,))):
+            assert len(models._stored) == 1024
+            if n == 1_500:
+                raise RuntimeError("trial 1,500 failed")
+    assert not models._stored
+    for _ in stream_run(7, range(3_000)):
+        break
+    assert not models._stored
 
 
 def _model_outputs_digest() -> str:

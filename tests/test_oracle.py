@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 import threading
 from itertools import product
@@ -15,9 +16,9 @@ from specverify.models import (
     TableArModel,
     generate_model_pair,
     sample_draft,
+    stream_run,
     substream,
     trace_for,
-    uniforms,
 )
 from specverify.oracle import (
     SINGLE_DRAFT_VERIFIERS,
@@ -111,6 +112,14 @@ def test_enumeration_guards():
         enumerate_yield("capped-hsd", big_p, big_q, 6, 6)  # 12^6 drafts
 
 
+@pytest.mark.parametrize("verifier", SINGLE_DRAFT_VERIFIERS)
+def test_drafts_the_draft_model_cannot_make_are_skipped(verifier):
+    # q never drafts token 1 first: a ratio chain of those drafts would divide by 0
+    p = TableArModel(2, 2, table={(): (0.6, 0.4), (0,): (0.3, 0.7), (1,): (0.5, 0.5)})
+    q = TableArModel(2, 2, table={(): (1.0, 0.0), (0,): (0.2, 0.8), (1,): (0.9, 0.1)})
+    assert total_variation(enumerate_yield(verifier, p, q, 2, 2), target_joint_distribution(p, 2)) <= 1e-15
+
+
 def test_total_variation_properties():
     a = YieldDistribution({(0,): 1.0}, 1)
     b = YieldDistribution({(1,): 1.0}, 1)
@@ -132,6 +141,25 @@ def test_monte_carlo_requires_enough_trials(small_pair):
     p, q = small_pair
     with pytest.raises(ValueError):
         monte_carlo_fit("capped-hsd", p, q, 3, 3, 5000, 1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("nonsense", 2, 2, 1), "unknown verifier 'nonsense'"),
+        (("tokenwise", 2, 2, 2), "tokenwise takes exactly one draft"),
+        (("multidraft-hsd", 2, 2, 0), "k_drafts must be >= 1, got 0"),
+        (("capped-hsd", 2, 1, 1), "length 1 shorter than draft length 2"),
+    ],
+)
+def test_monte_carlo_refuses_bad_arguments_before_any_trial(monkeypatch, small_pair, args, message):
+    def no_trials(*args):
+        raise AssertionError("trials ran before the arguments were checked")
+
+    monkeypatch.setattr(oracle, "pool_map", no_trials)
+    verifier, gamma, length, drafts = args
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        monte_carlo_fit(verifier, *small_pair, gamma, length, 10_000, 1, k_drafts=drafts)
 
 
 def test_monte_carlo_passes_for_identical_models(identical_pair):
@@ -205,16 +233,19 @@ def test_monte_carlo_is_worker_count_independent(small_pair):
 
 def test_monte_carlo_derives_one_substream_per_trial_from_one_block_at_a_time(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
-    calls = []
+    runs, keys = [], []
 
-    def counted(*keys):
-        calls.append(keys)
-        assert len(models._stored) <= 1024
-        return uniforms(*keys)
+    def counted(*args):
+        runs.append(args)
+        for rng in stream_run(*args):
+            assert len(models._stored) <= 1024
+            keys.append(rng._key)
+            yield rng
 
-    monkeypatch.setattr(oracle, "uniforms", counted)
+    monkeypatch.setattr(oracle, "stream_run", counted)
     monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
-    assert calls == [(17, trial) for trial in range(10_000)]
+    assert runs == [(17, range(10_000))]
+    assert keys == [(17, trial) for trial in range(10_000)]
     assert not models._stored
 
 
@@ -549,6 +580,35 @@ def test_monte_carlo_reports_stray_sequences_as_a_failed_fit(monkeypatch):
     assert report.worst_sequence == (2, 2)
     assert report.worst_error == 100 / 10_000
     assert report.tv >= 0.5 * 100 / 10_000
+
+
+def sure_first_token_pair():
+    """V=2, depth 2: the target's first token is 0 for sure, so at length 1 the sequence (0,) has probability 1.0."""
+    p = TableArModel(2, 2, table={(): (1.0, 0.0), (0,): (0.6, 0.4), (1,): (0.5, 0.5)})
+    q = TableArModel(2, 2, table={(): (0.7, 0.3), (0,): (0.5, 0.5), (1,): (0.2, 0.8)})
+    return p, q
+
+
+@pytest.mark.parametrize("verifier, drafts", [(v, 1) for v in SINGLE_DRAFT_VERIFIERS] + [("multidraft-hsd", 2)])
+def test_a_sure_sequence_passes_the_fit(verifier, drafts):
+    p, q = sure_first_token_pair()
+    target = target_joint_distribution(p, 1)
+    assert target.probs == {(0,): 1.0, (1,): 0.0}
+    if drafts == 1:
+        assert total_variation(enumerate_yield(verifier, p, q, 1, 1), target) == 0.0
+    report = monte_carlo_fit(verifier, p, q, 1, 1, 10_000, 3, k_drafts=drafts)
+    assert (report.passed, report.max_z, report.z_violations, report.tv) == (True, 0.0, 0, 0.0)
+
+
+def test_an_impossible_in_range_sequence_still_fails_the_fit(monkeypatch):
+    p, q = sure_first_token_pair()
+    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise(100, token=1))
+    report = monte_carlo_fit("tokenwise", p, q, 1, 1, 10_000, 3)
+    assert not report.passed
+    assert report.max_z == math.inf
+    assert report.z_violations == 2  # (1,) drawn 100 times, and so the sure (0,) missed 100 times
+    assert report.worst_error == pytest.approx(100 / 10_000)
+    assert report.tv == pytest.approx(100 / 10_000)
 
 
 def test_fit_report_round_trips_to_dict(small_pair):

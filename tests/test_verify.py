@@ -24,6 +24,7 @@ from specverify.verify import (
     _capped_ratios,
     backward_scan,
     blockwise_acceptance_chain,
+    capped_branch_residual,
     capped_hsd_chain,
     capped_hsd_verify,
     expected_accept_length,
@@ -542,6 +543,24 @@ def test_multidraft_validates_inputs(small_pair):
             verify([t1, t2], substream(63))
         with pytest.raises(ValueError):
             verify([t1, t3], substream(63))
+
+
+def test_empty_drafts_cannot_be_verified(small_pair):
+    p, q = small_pair
+    empty = trace_for(q, p, (), ())
+    for verify in (tokenwise_verify, capped_hsd_verify, lambda trace, rng: naive_hsd_verify(trace, p, q, rng)):
+        with pytest.raises(ValueError, match="^empty drafts cannot be verified$"):
+            verify(empty, substream(64))
+    for verify in (multidraft_hsd_verify, multidraft_tokenwise_verify):
+        with pytest.raises(ValueError, match="^empty drafts cannot be verified$"):
+            verify([empty, empty], substream(64))
+
+
+@pytest.mark.parametrize("t", [-1, 2])
+def test_a_capped_residual_outside_the_draft_is_refused(t):
+    trace = synthetic_trace((0.5, 0.6), (0.4, 0.7))
+    with pytest.raises(ValueError, match=rf"^branch position {t} outside \[0, 2\)$"):
+        capped_branch_residual(trace, t)
 
 
 def multidraft_tokenwise_yield_by_hand(p_root, q_root):
