@@ -159,13 +159,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if v not in SINGLE_DRAFT_VERIFIERS:
             raise ValueError(f"unknown verifier {v!r}; oracle enumerates {SINGLE_DRAFT_VERIFIERS}")
     length = _output_length(args)
-    depth = args.depth if args.depth is not None else length
-    if depth < length:
-        raise ValueError(f"--depth {depth} is shallower than the output length {length}")
     if args.pairs < 1:
         raise ValueError("need at least one model pair")
     specs = [
-        ModelPairSpec(args.vocab, depth, derive_seed(args.seed, i), args.eps, args.concentration)
+        ModelPairSpec(args.vocab, length, derive_seed(args.seed, i), args.eps, args.concentration)
         for i in range(args.pairs)
     ]
     if args.vocab**length > ENUMERATION_GUARD:
@@ -179,7 +176,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "vocab_size": args.vocab,
             "gamma": args.gamma,
             "length": length,
-            "depth": depth,
+            "depth": length,
             "eps": args.eps,
             "concentration": args.concentration,
             "seed": args.seed,
@@ -279,9 +276,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for i, (v, g, e) in enumerate(grid):
         if g < 1:
             raise ValueError(f"--gamma must be >= 1, got {g}")
-        if args.depth is not None and args.depth < g:
-            raise ValueError(f"depth {args.depth} is shallower than gamma {g}")
-        jobs.append((i, g, ModelPairSpec(v, args.depth or g, derive_seed(args.seed, i), e, args.concentration)))
+        jobs.append((i, g, ModelPairSpec(v, g, derive_seed(args.seed, i), e, args.concentration)))
     results = pool_map(partial(_bench_config_job, n=args.trials, master_seed=args.seed), jobs, args.workers)
     rows = [row for res_rows, _ in results for row in res_rows]
     configs = [config for _, config in results]
@@ -332,10 +327,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
             raise ValueError(f"{verifier} has no multi-draft variant")
         verifier = variants[verifier]
     length = _output_length(args)
-    need = max(length, args.gamma + 1)  # the output, and the bonus token after a full draft
-    depth = args.depth if args.depth is not None else need
-    if depth < need:
-        raise ValueError(f"--depth {depth} is shallower than {need}, the larger of --length and --gamma + 1")
+    depth = max(length, args.gamma + 1)  # the output, and the bonus token after a full draft
     spec = ModelPairSpec(args.vocab, depth, derive_seed(args.seed, 0), args.eps, args.concentration)
     p_model, q_model = generate_model_pair(spec)
     report = monte_carlo_fit(
@@ -434,7 +426,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--verifiers", type=str, default="tokenwise,naive-hsd,capped-hsd")
     sp.add_argument("--vocab", type=int, default=3)
     sp.add_argument("--gamma", type=int, default=3)
-    sp.add_argument("--depth", type=int, default=None, help="model depth (default max(gamma, length))")
     sp.add_argument("--length", type=int, default=None, help="output length to enumerate (default gamma)")
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--pairs", type=int, default=20)
@@ -447,7 +438,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--vocab", type=_int_list, default=[8, 32])
     sp.add_argument("--gamma", type=_int_list, default=[5, 10])
     sp.add_argument("--eps", type=_float_list, default=[0.1, 0.5, 1.0])
-    sp.add_argument("--depth", type=int, default=None, help="model depth (default: gamma per configuration)")
     sp.add_argument("--trials", type=int, default=10_000, help="drafts per configuration")
     sp.add_argument("--format", type=str, default="csv", choices=["json", "csv"])
     common(sp)
@@ -462,7 +452,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sp.add_argument("--vocab", type=int, default=2)
     sp.add_argument("--gamma", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--length", type=int, default=None)
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--drafts", type=int, default=1, help="independent drafts per step (multi-draft)")

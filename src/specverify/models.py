@@ -462,7 +462,7 @@ def run_memo(cap: int) -> Iterator[None]:
     While the memo holds fewer than ``cap`` entries, a value that is a pure
     function of its key is stored by that key: draft trie nodes by
     ``(q, p, prefix)`` and ``(node, token)``, plans by ``(plan, trace)``, and
-    branch gaps and sums by ``(p_dist, q_dist, hybrid, base_q)``.  Each key holds
+    branch sums by ``(p_dist, q_dist, hybrid, base_q)``.  Each key holds
     every operand of its value, so one memo serves every pair and prefix only
     its own values, and outcomes are bit-identical with or without it.
     """

@@ -7,7 +7,7 @@ are independent uniforms); the mass is then pushed one level at a time out
 to the output length, so every prefix is expanded once.  A branch of a
 chain and a residual drawn after a rejection depend only on the drafted
 prefix, so each is built once per prefix, not once per draft: the branch
-gap lists and sums in the call's run memo, :func:`models.run_memo`, and the residuals in
+sums in the call's run memo, :func:`models.run_memo`, and the residuals in
 a local dict.  Comparing that yield against the target joint certifies or
 refutes losslessness to floating-point precision.
 :func:`monte_carlo_fit` is the statistical fallback for configurations

@@ -14,8 +14,8 @@ is kept to chain depth, as the independent reference for capped-hsd; the
 tests check its running clamp against the suffix-minimum closed form.
 
 Inside a run memo (:func:`specverify.models.run_memo`) the sampler builds
-each distinct trace's plan once, and the branch chains each branch's gap
-list and sums, which the capped residual then reads.
+each distinct trace's plan once, and the branch chains each branch's two
+sums once.
 
 Every verifier consumes one uniform per decision, drawn in scan order, so a
 trajectory can be replayed from its event log.  Branch and block sums
@@ -115,17 +115,8 @@ def naive_branch_residual(p_model: TableArModel, q_model: TableArModel, context:
 
 
 def capped_branch_residual(trace: DraftTrace, t: int) -> Dist:
-    """Single-step resampling distribution over the branch of the first ``t`` tokens.
-
-    Inside a run memo the gap list comes from the branch's entry, if the chain stored one.
-    """
-    if not 0 <= t < trace.gamma:
-        raise ValueError(f"branch position {t} outside [0, {trace.gamma})")
-    memo, entry = _run.memo, None
-    if memo is not None:  # the key _branch_ratios stores this branch under
-        scales = capped_scales(joint_products(trace), t, ratio_chain(trace).m[t])
-        entry = memo.get((trace.p_dists[t], trace.q_dists[t], *scales))
-    gaps = capped_branch_masses(trace, t) if entry is None else entry[0]
+    """Single-step resampling distribution over the branch of the first ``t`` tokens."""
+    gaps = capped_branch_masses(trace, t)
     return _normalised(gaps, "degenerate capped residual at a reached resample point (t=%d)", t)
 
 
@@ -143,10 +134,9 @@ def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list
     """Unclamped ratios ``d_pq / d_qp`` (1 where ``d_qp == 0``) of branches t = 1 .. gamma - 1, capped at ``caps[t]``.
 
     The sums are those of ``capped_branch_divergences``, inline because every chain runs this loop.
-    Inside a :func:`~specverify.models.run_memo` they come from the memo, stored on a miss
-    as ``(gaps, d_pq, d_qp)`` so that :func:`capped_branch_residual` reuses the gap list.
-    ``warn`` logs a branch with excess 0 but deficit > 0: under the trace's own caps
-    ``r_t <= r_{m_t}``, so only rounding gives that; uncapped, any ``r_t > 1`` can.
+    Inside a :func:`~specverify.models.run_memo` they come from the memo, stored on a miss.
+    ``warn`` logs, once per build, a branch with excess 0 but deficit > 0: under the
+    trace's own caps ``r_t <= r_{m_t}``, so only rounding gives that; uncapped, any ``r_t > 1`` can.
     """
     memo = _run.memo  # once per chain: outside a run this is all it costs
     cums = None if memo is None else joint_products(trace)
@@ -154,15 +144,15 @@ def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list
     h = []
     for t in range(1, trace.gamma):
         key = None if cums is None else (p_dists[t], q_dists[t], *capped_scales(cums, t, caps[t]))
-        entry = None if key is None else memo.get(key)
-        if entry is None:
+        sums = None if key is None else memo.get(key)
+        if sums is None:
             gaps = capped_branch_masses(trace, t, caps[t])
-            entry = gaps, math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0])
+            sums = math.fsum([g for g in gaps if g > 0.0]), math.fsum([-g for g in gaps if g < 0.0])
             if key is not None:
-                remember(key, entry)
-        _, d_pq, d_qp = entry
-        if warn and d_qp <= 0.0 < d_pq:
-            logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, d_pq)
+                remember(key, sums)
+            if warn and sums[1] <= 0.0 < sums[0]:
+                logger.warning("capped branch at position %d has excess 0 but deficit %g; accepting", t, sums[0])
+        d_pq, d_qp = sums
         h.append(d_pq / d_qp if d_qp > 0.0 else 1.0)
     return h
 

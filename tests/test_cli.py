@@ -362,7 +362,7 @@ def test_gamma_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
         (["mc", "--gamma", "0", "--length", "1"], 0),
         (["mc", "--gamma", "-1"], -1),
         (["oracle", "--gamma", "0"], 0),
-        (["bench", "--gamma", "0", "--depth", "2"], 0),  # named as gamma, not as a depth of 0
+        (["bench", "--gamma", "0"], 0),  # named as gamma, not as a depth of 0
         (["bench", "--gamma", "2,-1"], -1),
     ):
         code, _, err = run(argv + ["--out", str(out_path)], capsys)
@@ -371,16 +371,15 @@ def test_gamma_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
-def test_an_oracle_depth_shallower_than_its_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_model_depth_is_no_flag_of_any_run(tmp_path, capsys, monkeypatch):
+    # each run generates its pair at the depth it needs; a pair's conditionals never depend on it
     monkeypatch.setattr(cli, "pool_map", no_work)
+    monkeypatch.setattr(cli, "generate_model_pair", no_work)
     out_path = tmp_path / "report"
-    for argv, length in (
-        (["oracle", "--vocab", "2", "--gamma", "2", "--depth", "1"], 2),
-        (["oracle", "--vocab", "2", "--gamma", "2", "--length", "3", "--depth", "2"], 3),
-    ):
-        code, _, err = run(argv + ["--out", str(out_path)], capsys)
-        assert code == EXIT_USAGE, argv
-        assert err == f"error: --depth {argv[-1]} is shallower than the output length {length}\n", argv
+    for command in ("oracle", "bench", "mc"):
+        code, out, err = run([command, "--depth", "5", "--out", str(out_path)], capsys)
+        assert (code, out) == (EXIT_USAGE, ""), command
+        assert "unrecognized arguments: --depth 5" in err, command
     assert not out_path.exists()
 
 
@@ -391,22 +390,6 @@ def test_an_oracle_beyond_the_enumeration_guard_is_a_usage_error_before_any_work
         code, _, err = run(["oracle", *argv, "--out", str(out_path)], capsys)
         assert code == EXIT_USAGE, argv
         assert err == f"error: {sequences} sequences exceed the enumeration guard ({oracle.ENUMERATION_GUARD})\n", argv
-    assert not out_path.exists()
-
-
-def test_an_mc_depth_too_shallow_is_a_usage_error_naming_depth(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "pool_map", no_work)
-    monkeypatch.setattr(cli, "generate_model_pair", no_work)
-    out_path = tmp_path / "report"
-    for argv, need in (
-        (["--depth", "1"], 3),  # the default gamma of 2 needs room for its bonus token
-        (["--gamma", "2", "--length", "4", "--depth", "3"], 4),
-        (["--gamma", "3", "--drafts", "2", "--depth", "3"], 4),
-    ):
-        code, _, err = run(["mc", *argv, "--out", str(out_path)], capsys)
-        assert code == EXIT_USAGE, argv
-        depth = argv[-1]
-        assert err == f"error: --depth {depth} is shallower than {need}, the larger of --length and --gamma + 1\n", argv
     assert not out_path.exists()
 
 
@@ -460,22 +443,12 @@ def test_a_length_below_gamma_is_a_usage_error_before_any_work(tmp_path, capsys,
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (
-            ["oracle", "--verifiers", "tokenwise,nonsense"],
-            f"unknown verifier 'nonsense'; oracle enumerates {oracle.SINGLE_DRAFT_VERIFIERS}",
-        ),
-        (["bench", "--gamma", "2,5", "--depth", "3"], "depth 3 is shallower than gamma 5"),
-    ],
-    ids=["oracle-verifier", "bench-depth"],
-)
-def test_a_verifier_or_depth_no_run_can_use_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+def test_a_verifier_no_run_can_use_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "pool_map", no_work)
     monkeypatch.setattr(cli, "generate_model_pair", no_work)
     out_path = tmp_path / "report"
-    code, out, err = run(argv + ["--out", str(out_path)], capsys)
+    code, out, err = run(["oracle", "--verifiers", "tokenwise,nonsense", "--out", str(out_path)], capsys)
+    message = f"unknown verifier 'nonsense'; oracle enumerates {oracle.SINGLE_DRAFT_VERIFIERS}"
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
     assert not out_path.exists()
 
@@ -561,6 +534,7 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
     "command, overrides, message",
     [
         ("oracle", {"vocabulary": 3}, "unknown config keys"),
+        ("mc", {"depth": 4}, "unknown config keys"),  # each run picks its model depth
         ("oracle", {"format": "xml"}, "config key 'format'"),  # choices bind in the file too
         ("example", {"show": "bogus"}, "config key 'show'"),
         # a value the flag itself could not produce is refused before any work
@@ -577,6 +551,7 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
     ],
     ids=[
         "unknown-key",
+        "depth-key",
         "oracle-format",
         "example-show",
         "float-vocab",
@@ -607,7 +582,7 @@ def test_config_file_takes_every_value_its_flags_can_produce(tmp_path, capsys):
     # JSON ints, strings the flag parses, bench lists and null where the default is None
     config = tmp_path / "config.json"
     for command, overrides, flags in (
-        ("oracle", {"vocab": "3", "gamma": 2, "pairs": 1, "eps": 1, "length": None, "depth": None}, ["--eps", "1"]),
+        ("oracle", {"vocab": "3", "gamma": 2, "pairs": 1, "eps": 1, "length": None}, ["--eps", "1"]),
         ("bench", {"vocab": [3], "gamma": "2", "eps": [0.5, 1], "trials": 50}, ["--eps", "0.5,1"]),
     ):
         by_file, by_flags = tmp_path / f"{command}-file", tmp_path / f"{command}-flags"

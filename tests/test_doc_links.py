@@ -6,7 +6,8 @@ file from the repository root; a relative Markdown link names one from the
 linking file's folder.  A Sphinx role in a docstring of ``src/specverify/``
 names an object of its own module or a dotted path from the package, and a
 ``specverify.<module>.<name>`` path in ``README.md`` or ``docs/*.md`` names
-one from the package.
+one from the package.  Every ``--flag`` on a ``specverify <command>`` line
+of ``README.md`` or ``docs/*.md`` is a flag of that command's parser.
 """
 
 import ast
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import specverify
+from specverify import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DOC_PATH = re.compile(r"\bdocs/[\w.-]+\.md\b")
@@ -128,3 +130,35 @@ def test_the_scan_sees_code_references(tmp_path):
         "specverify.models.gone",
     ]
     assert not resolves("specverify.models.gone")
+
+
+COMMAND = re.compile(r"(?<![\w.])specverify ([a-z]+)([^`\n]*)")
+FLAG = re.compile(r"(?<![\w-])--[\w-]+")
+
+
+def unknown_flags(text):
+    """``(command, flag)`` for each flag of a ``specverify <command>`` line that its parser lacks.
+
+    Backslash-continued lines are joined first; an inline command ends at its closing backtick.
+    """
+    _, parsers = cli.build_parser()
+    return [
+        (command, flag)
+        for command, rest in COMMAND.findall(text.replace("\\\n", " "))
+        for flag in FLAG.findall(rest)
+        if command not in parsers or flag not in parsers[command]._option_string_actions
+    ]
+
+
+@pytest.mark.parametrize("path", MARKDOWN, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_flag_in_a_document_is_a_flag_of_its_command(path):
+    assert unknown_flags(path.read_text()) == []
+
+
+def test_the_scan_sees_every_flag_of_a_command():
+    text = (
+        "specverify oracle --vocab 3 \\\n    --gamma 3 --depth 6\n"
+        "Run `specverify mc --drafts 2` and `bench --nothing`; specverify.models --gone is no command.\n"
+        "from specverify import (\nspecverify frobnicate --seed 1\n"
+    )
+    assert unknown_flags(text) == [("oracle", "--depth"), ("frobnicate", "--seed")]

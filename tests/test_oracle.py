@@ -99,7 +99,7 @@ def test_larger_grid_certifies_and_refutes():
     assert total_variation(mutated, target) > 0.1
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(small_pair):
     p, q = pair_for(0, vocab=3, depth=3)
     with pytest.raises(ValueError):
         enumerate_yield("capped-hsd", p, q, 3, 2)  # length shorter than draft
@@ -107,6 +107,8 @@ def test_enumeration_guards():
         enumerate_yield("nonsense", p, q, 3, 3)
     with pytest.raises(ValueError):
         enumerate_yield("capped-hsd", p, q, 3, 4)  # models too shallow for length
+    with pytest.raises(ValueError, match=r"^models of depth < 5 cannot be enumerated to that length$"):
+        enumerate_yield("tokenwise", *small_pair, 2, 5)  # small_pair has depth 4
     big_p, big_q = pair_for(0, vocab=12, depth=6, eps=0.3)
     with pytest.raises(ValueError):
         enumerate_yield("capped-hsd", big_p, big_q, 6, 6)  # 12^6 drafts
@@ -150,6 +152,9 @@ def test_monte_carlo_requires_enough_trials(small_pair):
         (("tokenwise", 2, 2, 2), "tokenwise takes exactly one draft"),
         (("multidraft-hsd", 2, 2, 0), "k_drafts must be >= 1, got 0"),
         (("capped-hsd", 2, 1, 1), "length 1 shorter than draft length 2"),
+        # small_pair has depth 4: no room for the bonus token after a full draft, or for the continuation
+        (("capped-hsd", 4, 4, 1), "models of depth 4 cannot run gamma=4 with continuations to 4"),
+        (("tokenwise", 2, 5, 1), "models of depth 4 cannot run gamma=2 with continuations to 5"),
     ],
 )
 def test_monte_carlo_refuses_bad_arguments_before_any_trial(monkeypatch, small_pair, args, message):
@@ -419,9 +424,9 @@ def test_a_certificate_builds_each_branch_and_residual_once_per_prefix(monkeypat
     stems = sum(vocab**t for t in range(gamma))  # a residual at each x_{1:tau}, tau < gamma
     residuals = builds["tokenwise_residual"] + builds["capped_branch_residual"]
     assert residuals <= stems
-    # a capped residual reads its branch from the memo; only the tau = 0 branch is built outside the chain
-    masses = {"tokenwise": 0, "naive-hsd": branches, "capped-hsd": branches + 1}[verifier]
-    assert builds["capped_branch_masses"] == masses
+    # the chain builds each branch once; each capped residual builds its own gap list
+    masses = {"tokenwise": 0, "naive-hsd": branches, "capped-hsd": branches + builds["capped_branch_residual"]}
+    assert builds["capped_branch_masses"] == masses[verifier]
 
 
 def test_no_run_memo_outlives_its_certificate(monkeypatch):

@@ -239,6 +239,22 @@ def test_naive_accepts_a_branch_without_excess_silently(caplog):
     assert not caplog.records
 
 
+def test_the_capped_chain_warns_once_per_branch_it_builds(caplog):
+    # a peaked pair where rounding leaves two capped branches with excess 0 but deficit > 0
+    p, q = pair_for(4, vocab=3, depth=3, eps=0.8, conc=30)
+    with caplog.at_level(logging.WARNING, logger="specverify.verify"):
+        enumerate_yield("capped-hsd", p, q, 3)
+    certified = [record.getMessage() for record in caplog.records]
+    assert len(certified) == len(set(certified)) == 2  # a certificate builds each branch once
+    caplog.clear()
+    traces = [trace_for(q, p, (), draft) for draft in product(range(3), repeat=3)]
+    with caplog.at_level(logging.WARNING, logger="specverify.verify"):
+        for trace in traces + traces:
+            capped_hsd_chain(trace)
+    outside = [record.getMessage() for record in caplog.records]
+    assert len(outside) == 24 and set(outside) == set(certified)  # outside a run every call builds, and warns
+
+
 def assert_block_chain_matches_the_suffix_minimum(trace):
     """The library's block chain and whole-draft block acceptance, against the clamp's closed form, to 1e-12."""
     clamp = suffix_minimum_clamp(trace)
