@@ -17,7 +17,16 @@ memo, capped at :data:`models.RUN_MEMO_CAP` entries: a draft it has seen
 before is the same trace object, drawn without fetching conditionals
 again, and a trace it has seen before skips its chain and residual builds.
 Either memo is the opening thread's alone and is dropped with the run,
-also on an exception.
+also on an exception.  The run also keeps the sampler's decision tree: an
+inner node tests ``u_k < c`` on a trial's k-th uniform, a leaf is an
+emitted sequence.  A trial walks it and runs the sampler only where it
+falls off, on probes that allow ``<`` alone and log each test; that path
+is grafted on.  A sampler reads its uniforms only through ``<`` and emits
+a function of them, so histograms stay bit for bit; any other read raises
+``TypeError``, a path that disagrees with the tree ``RuntimeError``.  The
+tree holds at most :data:`models.RUN_MEMO_CAP` inner nodes and is dropped
+with the run, or once full, after a 1,024-trial block it answered less
+than half of.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition the sampler of :mod:`specverify.verify` also reads, for one
@@ -42,7 +51,7 @@ import numpy as np
 
 from .divergence import joint_products
 from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
-from .models import stream_run, trace_for
+from .models import _BLOCK, stream_run, trace_for
 from .verify import (
     MULTI_DRAFT,
     SINGLE_DRAFT,
@@ -270,7 +279,7 @@ def _simulate_sequence(
     mutate: str | None,
     rng: np.random.Generator,
 ) -> Sequence:
-    """One end-to-end generation: draft, verify, continue, by ``.random()`` of a :func:`models.stream_run` yield."""
+    """One end-to-end generation: draft, verify, continue, by ``.random()`` of ``rng``, a stream or stand-in for one."""
     if verifier in SINGLE_DRAFT_VERIFIERS:
         trace = sample_draft(q_model, p_model, (), gamma, rng)
         if mutate is not None:  # h-double, the one mutation sampling can see
@@ -293,13 +302,96 @@ def _simulate_sequence(
     return seq
 
 
+class _Probe:
+    """A trial's ``k``-th uniform, readable by ``u < c`` alone; each such test is logged as ``(k, c, outcome)``."""
+
+    __slots__ = ("_u", "_k", "_log")
+
+    def __init__(self, u: float, k: int, log: list):
+        self._u, self._k, self._log = u, k, log
+
+    def __lt__(self, c) -> bool:
+        below = self._u < c
+        self._log.append((self._k, c, below))
+        return below
+
+    def _refuse(self, *other):
+        raise TypeError("a Monte Carlo trial reads its uniforms by < alone")
+
+    __eq__ = __bool__ = _refuse
+
+
+class _Replay:
+    """A trial's stream: the uniforms its walk drew, then the rest; with a ``log``, as probes logging to it."""
+
+    __slots__ = ("_drawn", "_rng", "_k", "_log")
+
+    def __init__(self, drawn: list[float], rng, log: list | None = None):
+        self._drawn, self._rng, self._k, self._log = drawn, rng, 0, log
+
+    def random(self) -> float | _Probe:
+        k, drawn = self._k, self._drawn
+        self._k = k + 1
+        u = drawn[k] if k < len(drawn) else self._rng.random()
+        return u if self._log is None else _Probe(u, k, self._log)
+
+
+def _walk(node, rng) -> tuple[Sequence | None, list[float]]:
+    """The leaf a trial reaches from ``node`` (None if it falls off), and the uniforms it drew.
+
+    An inner node ``[k, c, if_not_below, if_below]`` tests ``u_k < c``.
+    """
+    drawn = []
+    while node.__class__ is list:
+        k, c, if_not_below, if_below = node
+        while k >= len(drawn):
+            drawn.append(rng.random())
+        node = if_below if drawn[k] < c else if_not_below
+    return node, drawn
+
+
+def _graft(top: list, log: list, seq: Sequence, room: int) -> int:
+    """Graft path ``log``, ending at ``seq``, onto the tree at ``top[0]``; return the nodes added (at most ``room``)."""
+    slot, i, added = top, 0, 0
+    for k, c, below in log:
+        node = slot[i]
+        if node is None:
+            if added == room:
+                return added
+            node = slot[i] = [k, c, None, None]
+            added += 1
+        elif node.__class__ is not list or node[0] != k or node[1] != c:
+            raise RuntimeError(f"a trial is not a function of its uniforms: u_{k} < {c!r} leaves the tree")
+        slot, i = node, 3 if below else 2
+    if slot[i] is not None:
+        raise RuntimeError(f"a trial is not a function of its uniforms: {seq} ends inside the tree")
+    slot[i] = seq
+    return added
+
+
 def _trial_counts(payload: tuple) -> Counter:
     """Tally the sequences one chunk's trials generate; :func:`monte_carlo_fit` builds its ``payload``."""
     p_model, q_model, trials, master_seed, *run = payload
     counts: Counter = Counter()
+    top, size, hits = [None], 0, 0  # top[0] is the root of the tree
     with run_memo(RUN_MEMO_CAP):
-        for rng in stream_run(master_seed, trials):
-            counts[_simulate_sequence(p_model, q_model, *run, rng)] += 1
+        for n, rng in enumerate(stream_run(master_seed, trials), 1):
+            if top is None:
+                seq = _simulate_sequence(p_model, q_model, *run, rng)
+            else:
+                seq, drawn = _walk(top[0], rng)
+                if seq is None:
+                    log = [] if size < RUN_MEMO_CAP else None
+                    seq = _simulate_sequence(p_model, q_model, *run, _Replay(drawn, rng, log))
+                    if log is not None:
+                        size += _graft(top, log, seq, RUN_MEMO_CAP - size)
+                else:
+                    hits += 1
+                if n % _BLOCK == 0:  # a full tree that answered under half of this block is dropped
+                    if size >= RUN_MEMO_CAP and 2 * hits < _BLOCK:
+                        top = None
+                    hits = 0
+            counts[seq] += 1
     return counts
 
 
@@ -339,6 +431,11 @@ def monte_carlo_fit(
     ``min(workers, os.cpu_count())`` chunks, one in this process or each in a
     worker that receives both models by pickle, so there a model whose
     generator does not pickle (a ``lambda``, say) raises pickle's own error.
+
+    Each chunk runs the sampler once per distinct decision path, in a tree
+    of at most ``RUN_MEMO_CAP`` inner nodes, dropped once full after a
+    1,024-trial block it answered less than half of.  This needs a sampler
+    that reads its uniforms only through ``<`` and emits a function of them.
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")

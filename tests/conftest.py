@@ -33,18 +33,17 @@ def exact_grid_pairs():
             yield p, q, gamma
 
 
-def stray_tokenwise(every, token=None):
-    """A tokenwise verifier that emits ``token``, by default the out-of-range V, on every ``every``-th call.
+def stray_tokenwise(draft, token=None):
+    """A tokenwise verifier that emits ``token``, by default the out-of-range V, on every trace that drafted ``draft``.
 
-    The stray output covers the whole draft plus its bonus, so no target
-    continuation is asked for the impossible prefix.
+    The fault is a function of the trace, as a Monte Carlo trial must be of
+    its uniforms.  The stray output covers the whole draft plus its bonus, so
+    no target continuation is asked for the impossible prefix.
     """
-    calls = [0]
 
     def verify(trace, rng):
         outcome = tokenwise_verify(trace, rng)
-        calls[0] += 1
-        if calls[0] % every:
+        if trace.tokens != draft:
             return outcome
         stray = len(trace.q_dists[0]) if token is None else token
         return VerifyOutcome(outcome.tau, (stray,) * (trace.gamma + 1), outcome.events)

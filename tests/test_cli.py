@@ -316,7 +316,7 @@ def test_mc_drafts_flag_switches_to_multidraft(tmp_path, capsys):
 
 
 def test_mc_exits_with_science_failure_on_stray_sequences(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise(100))
+    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise((1, 1)))
     out_path = tmp_path / "mc.json"
     code, out, _ = run(
         ["mc", "--verifier", "tokenwise", "--vocab", "2", "--gamma", "2", "--trials", "10000", "--out", str(out_path)],

@@ -254,20 +254,29 @@ def test_monte_carlo_derives_one_substream_per_trial_from_one_block_at_a_time(mo
     assert not models._stored
 
 
+class _FailingDraws:
+    def random(self):
+        raise RuntimeError("trial 1,501 failed")
+
+
+def failing_at_trial_1501(seen):
+    """A ``stream_run`` that calls ``seen()`` on each yield and whose 1,501st yield raises when the trial draws."""
+
+    def run(*args):
+        for n, rng in enumerate(stream_run(*args), 1):
+            seen()
+            yield rng if n <= 1_500 else _FailingDraws()
+
+    return run
+
+
 def test_a_fit_that_raises_leaves_no_stored_state(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
-    simulate, trials = oracle._simulate_sequence, []
-
-    def fails_at_1500(*args):
-        trials.append(len(models._stored))
-        if len(trials) > 1_500:
-            raise RuntimeError("trial 1,500 failed")
-        return simulate(*args)
-
-    monkeypatch.setattr(oracle, "_simulate_sequence", fails_at_1500)
-    with pytest.raises(RuntimeError, match="1,500"):
+    stored = []
+    monkeypatch.setattr(oracle, "stream_run", failing_at_trial_1501(lambda: stored.append(len(models._stored))))
+    with pytest.raises(RuntimeError, match="1,501"):
         monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
-    assert len(trials) == 1_501 and max(trials) == 1024
+    assert len(stored) == 1_501 and max(stored) == 1024
     assert not models._stored
 
 
@@ -310,17 +319,143 @@ def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, draft
     assert stored[1]["pass"] == (mutate is None)  # h-double is still caught
 
 
+def reference_histogram(p, q, verifier, gamma, length, master_seed, drafts, mutate):
+    """The loop the decision tree replaced: the sampler run on every trial's stream, inside one run memo."""
+    counts = collections.Counter()
+    with models.run_memo(models.RUN_MEMO_CAP):
+        for rng in stream_run(master_seed, range(10_000)):
+            counts[oracle._simulate_sequence(p, q, verifier, gamma, length, drafts, mutate, rng)] += 1
+    return counts
+
+
+def fit_histogram(monkeypatch, p, q, verifier, gamma, length, master_seed, drafts, mutate, workers=1):
+    """The histogram of ``monte_carlo_fit``, summed over its chunks."""
+    pool, tallies = oracle.pool_map, []
+
+    def tallied(fn, payloads, workers):
+        chunks = pool(fn, payloads, workers)
+        tallies.append(sum(chunks, collections.Counter()))  # before the fit adds the rest into the first chunk
+        return chunks
+
+    monkeypatch.setattr(oracle, "pool_map", tallied)
+    monte_carlo_fit(verifier, p, q, gamma, length, 10_000, master_seed, k_drafts=drafts, mutate=mutate, workers=workers)
+    return tallies[-1]
+
+
+def counted_calls(monkeypatch, module, name):
+    """Every call's arguments of ``module.name`` from now on."""
+    fn, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+CRITERION_2_PAIR = ModelPairSpec(2, 3, 20_002, 0.8)
+TREE_FILLING_PAIR = ModelPairSpec(8, 5, 10, 0.5, 1.2)  # its capped-hsd trials at gamma 4 seldom retrace a path
+SLOW_LEARNING_PAIR = ModelPairSpec(2, 9, 12, 0.5, 1.2)  # its tokenwise trials at gamma 8 retrace more as the tree grows
+# the five verifiers: single-draft ones healthy and h-double, multi-draft ones at K = 1-3
+EVERY_FIT = [(v, 1, m) for v in SINGLE_DRAFT_VERIFIERS for m in (None, "h-double")] + [
+    (v, k, None) for v in oracle.MULTI_DRAFT_VERIFIERS for k in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("verifier, drafts, mutate", EVERY_FIT)
+def test_a_fit_replays_the_histogram_of_the_sampler_run_on_every_trial(monkeypatch, verifier, drafts, mutate):
+    p, q = generate_model_pair(CRITERION_2_PAIR)
+    want = reference_histogram(p, q, verifier, 2, 2, 41, drafts, mutate)
+    runs = counted_calls(monkeypatch, oracle, "_simulate_sequence")
+    assert fit_histogram(monkeypatch, p, q, verifier, 2, 2, 41, drafts, mutate) == want
+    assert len(runs) < 1_000  # once per distinct decision path, not once per trial
+
+
+def test_a_fit_whose_trials_draw_past_the_drawn_ahead_row_replays_them(monkeypatch):
+    p, q = pair_for(9, vocab=2, depth=5, eps=0.8)
+    want = reference_histogram(p, q, "multidraft-hsd", 4, 4, 42, 3, None)
+    derived = counted_calls(monkeypatch, models, "substream")
+    assert fit_histogram(monkeypatch, p, q, "multidraft-hsd", 4, 4, 42, 3, None) == want
+    assert any(args[0] == 42 for args in derived)  # some trial's stream went on past its row
+
+
+@pytest.mark.parametrize(
+    "spec, verifier, gamma, length, kept",
+    [
+        (TREE_FILLING_PAIR, "capped-hsd", 4, 4, False),  # full within its first block, which it answers a fifth of
+        (SLOW_LEARNING_PAIR, "tokenwise", 8, 9, True),  # answers 45% of its first block, 65-80% once full
+    ],
+)
+def test_a_full_tree_is_walked_while_it_answers_half_of_a_block(monkeypatch, spec, verifier, gamma, length, kept):
+    p, q = generate_model_pair(spec)
+    want = reference_histogram(p, q, verifier, gamma, length, 43, 1, None)
+    graft, grafted = oracle._graft, []
+
+    def counted(*args):
+        grafted.append(graft(*args))
+        return grafted[-1]
+
+    monkeypatch.setattr(oracle, "_graft", counted)
+    walks = counted_calls(monkeypatch, oracle, "_walk")
+    assert fit_histogram(monkeypatch, p, q, verifier, gamma, length, 43, 1, None) == want
+    assert sum(grafted) == models.RUN_MEMO_CAP  # full, and grown no further
+    if kept:
+        assert len(walks) == 10_000
+    else:  # dropped at the end of a block
+        assert len(walks) % 1024 == 0 and len(walks) < 10_000
+
+
+@pytest.mark.parametrize(
+    "spec, verifier, gamma, drafts",
+    [(CRITERION_2_PAIR, "multidraft-hsd", 2, 3), (TREE_FILLING_PAIR, "capped-hsd", 4, 1)],
+)
+def test_a_fit_in_two_workers_replays_the_same_histogram(monkeypatch, spec, verifier, gamma, drafts):
+    p, q = generate_model_pair(spec)
+    want = reference_histogram(p, q, verifier, gamma, gamma, 44, drafts, None)
+    assert fit_histogram(monkeypatch, p, q, verifier, gamma, gamma, 44, drafts, None, workers=2) == want
+
+
+@pytest.mark.parametrize("misread", [lambda u: u * 1.0, float, lambda u: u <= 0.5, lambda u: u == 0.5, bool])
+def test_a_sampler_that_reads_a_uniform_other_than_by_less_than_fails_the_fit(monkeypatch, misread):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    index = models.index_from_uniform
+
+    def misreading(dist, u):
+        misread(u)
+        return index(dist, u)
+
+    monkeypatch.setattr(models, "index_from_uniform", misreading)
+    assert sample_draft(q, p, (), 2, substream(1, 0)).gamma == 2  # a float reads either way
+    with pytest.raises(TypeError):
+        monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 1)
+
+
+def test_a_sampler_whose_thresholds_hide_state_fails_the_fit(monkeypatch):
+    p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
+    index, calls = models.index_from_uniform, []
+
+    def drifting(dist, u):  # the first call inverts the CDF from its other end: the same law at other thresholds
+        calls.append(dist)
+        return index(dist, u) if len(calls) > 1 else len(dist) - 1 - index(dist[::-1], u)
+
+    monkeypatch.setattr(models, "index_from_uniform", drifting)
+    with pytest.raises(RuntimeError, match="not a function of its uniforms: u_0 < "):
+        monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 1)
+
+
 def test_a_run_memo_never_outgrows_its_cap(monkeypatch):
     p, q = pair_for(5, vocab=3, depth=4, eps=0.8)  # 27 drafts, more sub-traces
-    simulate, sizes, memos = oracle._simulate_sequence, [], []
+    sizes, memos = [], []
     chain, builds = verify.capped_hsd_chain, []
     trace_for, drafts = models.trace_for, []
+    runs = counted_calls(monkeypatch, oracle, "_simulate_sequence")
 
-    def measured(*args):
-        seq = simulate(*args)
-        sizes.append(len(models._run.memo))
-        memos.append(models._run.memo)
-        return seq
+    def measured(*args):  # each trial's run memo, measured once the trial is done
+        for rng in stream_run(*args):
+            yield rng
+            sizes.append(len(models._run.memo))
+            memos.append(models._run.memo)
 
     def counted(trace):
         builds.append(trace)
@@ -330,17 +465,17 @@ def test_a_run_memo_never_outgrows_its_cap(monkeypatch):
         drafts.append(tokens)
         return trace_for(q, p, prefix, tokens)
 
-    monkeypatch.setattr(oracle, "_simulate_sequence", measured)
+    monkeypatch.setattr(oracle, "stream_run", measured)
     monkeypatch.setattr(verify, "capped_hsd_chain", counted)
     monkeypatch.setattr(models, "trace_for", assembled)
     for cap in (models.RUN_MEMO_CAP, 5):
         open_runs_with_cap(monkeypatch, cap)
-        sizes.clear(), memos.clear(), builds.clear(), drafts.clear()
+        sizes.clear(), memos.clear(), builds.clear(), drafts.clear(), runs.clear()
         monte_carlo_fit("multidraft-hsd", p, q, 3, 3, 10_000, 32, k_drafts=3)
         assert len(sizes) == 10_000 and max(sizes) <= cap and len({id(memo) for memo in memos}) == 1
         kinds = memo_kinds(memos[-1])
-        if cap == 5:  # full: every trace or draft not stored is built again
-            assert max(sizes) == 5 and len(builds) > 1_000 and len(drafts) > 1_000
+        if cap == 5:  # full: every sampler run builds again each trace or draft not stored
+            assert max(sizes) == 5 and len(builds) > len(runs) > 1_000 and len(drafts) > len(runs)
         else:  # room for all: each distinct trace is built once, each draft assembled once
             assert len(builds) == kinds["plan"] == len(set(builds)) > 5 and kinds["sums"] > 0
             assert len(drafts) == len(set(drafts)) == 27 and kinds["node"] == 1 + 3 + 9 + 27
@@ -350,16 +485,9 @@ def test_no_run_memo_outlives_its_fit(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
     monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
     assert models._run.memo is None
-    simulate, memos = oracle._simulate_sequence, []
-
-    def fails_at_1500(*args):
-        memos.append(models._run.memo)
-        if len(memos) > 1_500:
-            raise RuntimeError("trial 1,500 failed")
-        return simulate(*args)
-
-    monkeypatch.setattr(oracle, "_simulate_sequence", fails_at_1500)
-    with pytest.raises(RuntimeError, match="1,500"):
+    memos = []
+    monkeypatch.setattr(oracle, "stream_run", failing_at_trial_1501(lambda: memos.append(models._run.memo)))
+    with pytest.raises(RuntimeError, match="1,501"):
         monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
     kinds = memo_kinds(memos[-1])
     assert len(memos) == 1_501 and len({id(memo) for memo in memos}) == 1
@@ -575,16 +703,23 @@ def test_monte_carlo_rejects_shallow_models():
         monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 1)  # no room for a bonus
 
 
+def drafted(p, q, gamma, master_seed, draft):
+    """How many of a fit's 10^4 trials draft ``draft`` first."""
+    return sum(sample_draft(q, p, (), gamma, rng).tokens == draft for rng in stream_run(master_seed, range(10_000)))
+
+
 def test_monte_carlo_reports_stray_sequences_as_a_failed_fit(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
-    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise(100))
+    strays = drafted(p, q, 2, 24, (1, 0))
+    assert 0 < strays < 500
+    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise((1, 0)))
     report = monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 24)
     assert not report.passed
     assert report.max_z == math.inf
     assert report.z_violations >= 1
     assert report.worst_sequence == (2, 2)
-    assert report.worst_error == 100 / 10_000
-    assert report.tv >= 0.5 * 100 / 10_000
+    assert report.worst_error == strays / 10_000
+    assert report.tv >= 0.5 * strays / 10_000
 
 
 def sure_first_token_pair():
@@ -607,13 +742,15 @@ def test_a_sure_sequence_passes_the_fit(verifier, drafts):
 
 def test_an_impossible_in_range_sequence_still_fails_the_fit(monkeypatch):
     p, q = sure_first_token_pair()
-    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise(100, token=1))
+    strays = drafted(p, q, 1, 3, (1,))
+    assert strays > 0
+    monkeypatch.setattr(oracle, "tokenwise_verify", stray_tokenwise((1,), token=1))
     report = monte_carlo_fit("tokenwise", p, q, 1, 1, 10_000, 3)
     assert not report.passed
     assert report.max_z == math.inf
-    assert report.z_violations == 2  # (1,) drawn 100 times, and so the sure (0,) missed 100 times
-    assert report.worst_error == pytest.approx(100 / 10_000)
-    assert report.tv == pytest.approx(100 / 10_000)
+    assert report.z_violations == 2  # (1,) drawn on every draft of 1, and so the sure (0,) missed as often
+    assert report.worst_error == pytest.approx(strays / 10_000)
+    assert report.tv == pytest.approx(strays / 10_000)
 
 
 def test_fit_report_round_trips_to_dict(small_pair):
