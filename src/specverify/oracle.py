@@ -24,9 +24,7 @@ falls off, on probes that allow ``<`` alone and log each test; that path
 is grafted on.  A sampler reads its uniforms only through ``<`` and emits
 a function of them, so histograms stay bit for bit; any other read raises
 ``TypeError``, a path that disagrees with the tree ``RuntimeError``.  The
-tree holds at most :data:`models.RUN_MEMO_CAP` inner nodes and is dropped
-with the run, or once full, after a 1,024-trial block it answered less
-than half of.
+tree is dropped with the run; :func:`monte_carlo_fit` states its bound.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition the sampler of :mod:`specverify.verify` also reads, for one
@@ -51,7 +49,7 @@ import numpy as np
 
 from .divergence import joint_products
 from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
-from .models import _BLOCK, stream_run, trace_for
+from .models import stream_run, trace_for
 from .verify import (
     MULTI_DRAFT,
     SINGLE_DRAFT,
@@ -69,6 +67,8 @@ ENUMERATION_GUARD = 100_000
 SINGLE_DRAFT_VERIFIERS = tuple(SINGLE_DRAFT)
 MULTI_DRAFT_VERIFIERS = tuple(MULTI_DRAFT)
 MUTATIONS = ("h-double", "unclamp")
+TREE_CAP = 2_048  # inner nodes after which a decision tree grafts no more paths
+TREE_BLOCK = 256  # trials between two judgements of a full decision tree
 
 
 @dataclass(frozen=True)
@@ -350,14 +350,12 @@ def _walk(node, rng) -> tuple[Sequence | None, list[float]]:
     return node, drawn
 
 
-def _graft(top: list, log: list, seq: Sequence, room: int) -> int:
-    """Graft path ``log``, ending at ``seq``, onto the tree at ``top[0]``; return the nodes added (at most ``room``)."""
+def _graft(top: list, log: list, seq: Sequence) -> int:
+    """Graft path ``log``, ending at ``seq``, onto the tree at ``top[0]``; return the nodes added."""
     slot, i, added = top, 0, 0
     for k, c, below in log:
         node = slot[i]
         if node is None:
-            if added == room:
-                return added
             node = slot[i] = [k, c, None, None]
             added += 1
         elif node.__class__ is not list or node[0] != k or node[1] != c:
@@ -381,14 +379,14 @@ def _trial_counts(payload: tuple) -> Counter:
             else:
                 seq, drawn = _walk(top[0], rng)
                 if seq is None:
-                    log = [] if size < RUN_MEMO_CAP else None
+                    log = [] if size < TREE_CAP else None
                     seq = _simulate_sequence(p_model, q_model, *run, _Replay(drawn, rng, log))
                     if log is not None:
-                        size += _graft(top, log, seq, RUN_MEMO_CAP - size)
+                        size += _graft(top, log, seq)
                 else:
                     hits += 1
-                if n % _BLOCK == 0:  # a full tree that answered under half of this block is dropped
-                    if size >= RUN_MEMO_CAP and 2 * hits < _BLOCK:
+                if n % TREE_BLOCK == 0:  # a full tree that answered under half of this block is dropped
+                    if size >= TREE_CAP and 2 * hits < TREE_BLOCK:
                         top = None
                     hits = 0
             counts[seq] += 1
@@ -433,9 +431,11 @@ def monte_carlo_fit(
     generator does not pickle (a ``lambda``, say) raises pickle's own error.
 
     Each chunk runs the sampler once per distinct decision path, in a tree
-    of at most ``RUN_MEMO_CAP`` inner nodes, dropped once full after a
-    1,024-trial block it answered less than half of.  This needs a sampler
-    that reads its uniforms only through ``<`` and emits a function of them.
+    that grafts no path once it holds ``TREE_CAP`` inner nodes, so it holds
+    at most that many plus one path.  A full tree that answered fewer
+    than half of the last ``TREE_BLOCK`` trials is dropped, and the rest of
+    the chunk runs the sampler on every trial.  This needs a sampler that
+    reads its uniforms only through ``<`` and emits a function of them.
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
