@@ -21,7 +21,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -45,12 +45,11 @@ _STREAM_NOISE = 1
 _STATE_HASH = tuple(
     (0x8B51F9DD * 0x58F38DED**i & _MASK32, 0x8B51F9DD * 0x58F38DED ** (i + 1) & _MASK32) for i in range(8)
 )
-_BLOCK = 1024  # a stream_run derives this many streams at a time
-# Uniforms drawn ahead per stream.  On the mc-fit benchmark's pair, over 5,000 trials per fit, a
-# trial draws at most 6 (single-draft fits), 10 (multidraft-hsd K=2) or 11 (multidraft-tokenwise
-# K=3), and 13 or 14 in 1.3-2.0% of multidraft-hsd K=3 trials; a bench draft draws gamma <= 10.
+_BLOCK = 1024  # a stream_blocks block derives this many streams at once
+# Uniforms drawn ahead per stream: on the mc-fit benchmark's pair, all a trial draws but in 1.3-2.0% of multidraft-hsd
+# K=3 trials (13-14); the other fits draw at most 6 (single-draft), 10 (multidraft-hsd K=2) or 11 (tokenwise K=3).
 _ROW = 12
-_stored: dict[tuple[int, ...], list[int]] = {}  # (master_seed, *keys) -> seed-state words, per run block
+_stored: dict[tuple[int, ...], tuple[range, np.ndarray]] = {}  # (master_seed, *head) -> (block, seed states)
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # numpy's PCG64 multiplier, by uint64 half
 
 
@@ -85,7 +84,7 @@ def seed_state(master_seed: int, keys: tuple[int, ...]) -> np.ndarray:
     return np.array(state, dtype=np.uint32).view(np.uint64)
 
 
-def _lane_states(master_seed: int, head: tuple[int, ...], lanes: list[int]) -> np.ndarray:
+def _lane_states(master_seed: int, head: tuple[int, ...], lanes: range) -> np.ndarray:
     """Row j is ``seed_state(master_seed, (*head, lanes[j]))``, for lanes below 2**32.
 
     numpy's SeedSequence mixes its words by uint32 hash-and-mix steps whose
@@ -94,7 +93,7 @@ def _lane_states(master_seed: int, head: tuple[int, ...], lanes: list[int]) -> n
     """
     n = len(lanes)
     entropy = [np.full(n, w, np.uint32) for w in _key_words((master_seed & _SEED_MASK, *head))]
-    entropy.append(np.array(lanes, np.uint32))
+    entropy.append((lanes.start + lanes.step * np.arange(n)).astype(np.uint32))
     entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))  # the hash runs out over zeros
     const = 0x43B0D7E5
 
@@ -154,28 +153,36 @@ def _lane_uniforms(states: np.ndarray, n: int) -> np.ndarray:
     return out * 2.0**-53
 
 
-def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[_DrawnAhead | Generator]:
-    """Yield, for each trial ``i``, the draws of ``substream(master_seed, *head, i)``, taken by ``.random()``.
+def stream_blocks(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[tuple[range, np.ndarray]]:
+    """Yield ``trials`` a block at a time, with one row per trial ``i``: the first draws of its stream.
 
-    A block's seed states and each stream's first ``_ROW`` uniforms are
-    derived in one numpy pass, bit-identical to :func:`substream`'s.  A trial
-    gets its row as a :class:`_DrawnAhead`, built as it comes up, and past it
-    :func:`substream`, which reads the state from the block's store until the
-    loop leaves the block, also on an exception.  Keys outside ``[0, 2**32)`` get :func:`substream`.
+    The stream is ``substream(master_seed, *head, i)``.  One numpy pass derives a block's seed states and ``_ROW``
+    draws per trial, bit-identical to :func:`substream`'s, which reads the states from the block's store until the
+    loop leaves the block, also on an exception.  A block reaching outside ``[0, 2**32)`` gets empty rows.
     """
     for j in range(0, len(trials), _BLOCK):
         block = trials[j : j + _BLOCK]
-        keys = [(master_seed, *head, i) for i in block if 0 <= i <= _MASK32]
-        states = _lane_states(master_seed, head, [key[-1] for key in keys])
-        _stored.update(zip(keys, states.tolist()))
-        rows = zip(_lane_uniforms(states, _ROW).tolist(), keys)
+        if not (0 <= block[0] <= _MASK32 and 0 <= block[-1] <= _MASK32):  # a range's ends bound it
+            yield block, np.empty((len(block), 0))
+            continue
+        key, states = (master_seed, *head), _lane_states(master_seed, head, block)
+        _stored[key] = block, states
         try:
-            for i in block:
-                yield _DrawnAhead(*next(rows)) if 0 <= i <= _MASK32 else substream(master_seed, *head, i)
+            yield block, _lane_uniforms(states, _ROW)
         finally:
-            del rows  # free this block's rows before the next block derives its own
-            for key in keys:
-                _stored.pop(key, None)
+            _stored.pop(key, None)
+
+
+def trial_draws(key: tuple[int, ...], row: list[float]) -> _DrawnAhead | Generator:
+    """The draws of ``substream(*key)``: ``row``, drawn ahead, then the stream past it; for an empty row, the stream."""
+    return _DrawnAhead(row, key) if row else substream(*key)
+
+
+def stream_run(master_seed: int, trials: range, head: tuple[int, ...] = ()) -> Iterator[_DrawnAhead | Generator]:
+    """Yield each trial ``i``'s draws of ``substream(master_seed, *head, i)``: :func:`trial_draws` of its row."""
+    for block, rows in stream_blocks(master_seed, trials, head):
+        for i, row in zip(block, rows.tolist()):
+            yield trial_draws((master_seed, *head, i), row)
 
 
 class _FixedSeedState(ISeedSequence):
@@ -196,12 +203,13 @@ def substream(master_seed: int, *keys: int) -> np.random.Generator:
     order without sharing generator state.  The stream equals
     ``np.random.default_rng(np.random.SeedSequence((master_seed & 2**64 - 1, *keys)))``
     bit for bit, and negative keys raise ``ValueError`` as there.  Inside a
-    :func:`stream_run` block the seed state of each of its keys is read from
+    :func:`stream_blocks` block the seed state of each of its keys is read from
     the block's store instead of derived again.  Unlike numpy's generator,
     the returned one's ``bit_generator.seed_seq`` cannot ``spawn``.
     """
-    stored = _stored.get((master_seed, *keys)) if _stored else None
-    state = seed_state(master_seed, keys) if stored is None else np.array(stored, np.uint64)
+    stored = _stored.get((master_seed, *keys[:-1])) if _stored and keys else None  # (block, states) of a run
+    inside = stored is not None and keys[-1] in stored[0]
+    state = stored[1][stored[0].index(keys[-1])] if inside else seed_state(master_seed, keys)
     # PCG64 seeds itself from generate_state(4, np.uint64)
     return np.random.Generator(np.random.PCG64(_FixedSeedState(state)))
 
@@ -209,18 +217,17 @@ def substream(master_seed: int, *keys: int) -> np.random.Generator:
 class _DrawnAhead:
     """A trial's draws in a :func:`stream_run`: its block's row of ``substream(*key)``, then the stream past it."""
 
-    __slots__ = ("_draws", "_key")
+    __slots__ = ("random",)
 
     def __init__(self, row: list[float], key: tuple[int, ...]):
-        self._draws, self._key = iter(row), key
+        self.random = chain(row, _past_the_row(key)).__next__
 
-    def random(self) -> float:
-        for u in self._draws:
-            return u
-        rest = substream(*self._key)
-        rest.random(_ROW)  # skip the row's draws
-        self._draws = iter(rest.random, None)  # endless: random() never returns None
-        return self.random()
+
+def _past_the_row(key: tuple[int, ...]) -> Iterator[float]:
+    """The draws of ``substream(*key)`` after its first ``_ROW``, derived at the first one asked for."""
+    rest = substream(*key)
+    rest.random(_ROW)  # skip the row's draws in one call
+    yield from iter(rest.random, None)  # endless: random() never returns None
 
 
 def index_from_uniform(dist: Dist, u: float) -> int:

@@ -13,18 +13,16 @@ refutes losslessness to floating-point precision.
 :func:`monte_carlo_fit` is the statistical fallback for configurations
 where enumeration is infeasible, such as multi-draft verification.  Each
 run of its trials (one serial fit, or one worker's chunk) keeps one run
-memo, capped at :data:`models.RUN_MEMO_CAP` entries: a draft it has seen
-before is the same trace object, drawn without fetching conditionals
-again, and a trace it has seen before skips its chain and residual builds.
-Either memo is the opening thread's alone and is dropped with the run,
-also on an exception.  The run also keeps the sampler's decision tree: an
-inner node tests ``u_k < c`` on a trial's k-th uniform, a leaf is an
-emitted sequence.  A trial walks it and runs the sampler only where it
-falls off, on probes that allow ``<`` alone and log each test; that path
-is grafted on.  A sampler reads its uniforms only through ``<`` and emits
-a function of them, so histograms stay bit for bit; any other read raises
-``TypeError``, a path that disagrees with the tree ``RuntimeError``.  The
-tree is dropped with the run; :func:`monte_carlo_fit` states its bound.
+memo and the sampler's decision tree, both dropped with the run.  An inner
+node tests ``u_k < c`` on a trial's k-th uniform, a leaf is an emitted
+sequence.  Trials walk the tree a block at a time, level by level in numpy,
+on the rows of :func:`models.stream_blocks`.  One that falls off or reads
+past its row walks again alone, in trial order; where it still falls off,
+the sampler runs on probes that allow ``<`` alone and log each test, and
+the path is grafted on.  A sampler reads its uniforms only through ``<``
+and emits a function of them, so histograms stay bit for bit; any other
+read raises ``TypeError``, a path that disagrees with the tree
+``RuntimeError``.  :func:`monte_carlo_fit` states the tree's bound.
 
 Both take each single-draft verifier from :data:`verify.SINGLE_DRAFT`, the
 one definition the sampler of :mod:`specverify.verify` also reads, for one
@@ -43,13 +41,13 @@ import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import chain, count, product, repeat
 
 import numpy as np
 
 from .divergence import joint_products
 from .models import RUN_MEMO_CAP, Sequence, TableArModel, index_from_uniform, run_memo, sample_draft
-from .models import stream_run, trace_for
+from .models import _ROW, stream_blocks, trace_for, trial_draws
 from .verify import (
     MULTI_DRAFT,
     SINGLE_DRAFT,
@@ -324,72 +322,96 @@ class _Probe:
 class _Replay:
     """A trial's stream: the uniforms its walk drew, then the rest; with a ``log``, as probes logging to it."""
 
-    __slots__ = ("_drawn", "_rng", "_k", "_log")
+    __slots__ = ("random",)
 
     def __init__(self, drawn: list[float], rng, log: list | None = None):
-        self._drawn, self._rng, self._k, self._log = drawn, rng, 0, log
-
-    def random(self) -> float | _Probe:
-        k, drawn = self._k, self._drawn
-        self._k = k + 1
-        u = drawn[k] if k < len(drawn) else self._rng.random()
-        return u if self._log is None else _Probe(u, k, self._log)
+        draws = chain(drawn, iter(rng.random, None))  # endless: random() never returns None
+        self.random = (draws if log is None else map(_Probe, draws, count(), repeat(log))).__next__
 
 
-def _walk(node, rng) -> tuple[Sequence | None, list[float]]:
-    """The leaf a trial reaches from ``node`` (None if it falls off), and the uniforms it drew.
+class _Tree:
+    """A run's decision tree, flat: slot 0 holds the root; inner node ``n`` tests ``u_k[n] < c[n]``, then goes
+    on to slot ``2n + 2`` if that holds, else ``2n + 1``.  A slot holds -1, a node, or ``-2 - j`` for ``leaves[j]``."""
 
-    An inner node ``[k, c, if_not_below, if_below]`` tests ``u_k < c``.
-    """
-    drawn = []
-    while node.__class__ is list:
-        k, c, if_not_below, if_below = node
-        while k >= len(drawn):
-            drawn.append(rng.random())
-        node = if_below if drawn[k] < c else if_not_below
-    return node, drawn
+    def __init__(self):
+        self.k, self.c, self.slots, self.leaves, self.depth, self._arrays = [], [], [-1], [], 0, None
 
+    def walk(self, rng) -> tuple[Sequence | None, list[float]]:
+        """The leaf a trial reaches (None if it falls off), and the uniforms it drew by ``rng.random()``."""
+        k, c, slots, drawn, node = self.k, self.c, self.slots, [], self.slots[0]
+        while node >= 0:
+            while k[node] >= len(drawn):
+                drawn.append(rng.random())
+            node = slots[2 * node + 1 + (drawn[k[node]] < c[node])]
+        return (None if node == -1 else self.leaves[-2 - node]), drawn
 
-def _graft(top: list, log: list, seq: Sequence) -> int:
-    """Graft path ``log``, ending at ``seq``, onto the tree at ``top[0]``; return the nodes added."""
-    slot, i, added = top, 0, 0
-    for k, c, below in log:
-        node = slot[i]
-        if node is None:
-            node = slot[i] = [k, c, None, None]
-            added += 1
-        elif node.__class__ is not list or node[0] != k or node[1] != c:
-            raise RuntimeError(f"a trial is not a function of its uniforms: u_{k} < {c!r} leaves the tree")
-        slot, i = node, 3 if below else 2
-    if slot[i] is not None:
-        raise RuntimeError(f"a trial is not a function of its uniforms: {seq} ends inside the tree")
-    slot[i] = seq
-    return added
+    def walk_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Per row of ``_ROW`` uniforms, what the slot :meth:`_Tree.walk` on it ends at holds; -1 if it reads past it.
+
+        All rows take one test per level, for as many levels as the longest path grafted; a row stays at a slot
+        that holds no node, or one past the row."""
+        if self._arrays is None:  # per slot: what a row there does
+            slots = np.array(self.slots, np.intp)
+            node = np.maximum(slots, -1)  # -1: not a node; it reads the stand-ins appended below
+            k = np.array(self.k + [_ROW], np.intp)[node]
+            tests = k < _ROW
+            c = np.where(tests, np.array(self.c + [0.0])[node], -np.inf)  # u < -inf never holds: a row stays
+            then = np.where(tests, 2 * node + 1, np.arange(len(slots)))
+            self._arrays = np.where(tests, k, 0), c, then, np.minimum(slots, -1)
+        k, c, then, ends = self._arrays
+        flat, start, at = rows.ravel(), np.arange(len(rows)) * _ROW, np.zeros(len(rows), np.intp)  # all at the root
+        for _ in range(self.depth):
+            at = then.take(at) + (flat.take(start + k.take(at)) < c.take(at))
+        return ends.take(at)
+
+    def graft(self, log: list, seq: Sequence) -> None:
+        """Graft path ``log``, ending at ``seq``, onto the tree."""
+        slots, s = self.slots, 0
+        for k, c, below in log:
+            node = slots[s]
+            if node == -1:
+                node = slots[s] = len(self.k)
+                self.k.append(k)
+                self.c.append(c)
+                slots += (-1, -1)
+            elif node < -1 or self.k[node] != k or self.c[node] != c:
+                raise RuntimeError(f"a trial is not a function of its uniforms: u_{k} < {c!r} leaves the tree")
+            s = 2 * node + 1 + below
+        if slots[s] != -1:
+            raise RuntimeError(f"a trial is not a function of its uniforms: {seq} ends inside the tree")
+        slots[s], self.depth, self._arrays = -2 - len(self.leaves), max(self.depth, len(log)), None
+        self.leaves.append(seq)
 
 
 def _trial_counts(payload: tuple) -> Counter:
     """Tally the sequences one chunk's trials generate; :func:`monte_carlo_fit` builds its ``payload``."""
     p_model, q_model, trials, master_seed, *run = payload
-    counts: Counter = Counter()
-    top, size, hits = [None], 0, 0  # top[0] is the root of the tree
+    counts, tree = Counter(), _Tree()
     with run_memo(RUN_MEMO_CAP):
-        for n, rng in enumerate(stream_run(master_seed, trials), 1):
-            if top is None:
-                seq = _simulate_sequence(p_model, q_model, *run, rng)
-            else:
-                seq, drawn = _walk(top[0], rng)
-                if seq is None:
-                    log = [] if size < TREE_CAP else None
-                    seq = _simulate_sequence(p_model, q_model, *run, _Replay(drawn, rng, log))
-                    if log is not None:
-                        size += _graft(top, log, seq)
-                else:
-                    hits += 1
-                if n % TREE_BLOCK == 0:  # a full tree that answered under half of this block is dropped
-                    if size >= TREE_CAP and 2 * hits < TREE_BLOCK:
-                        top = None
-                    hits = 0
-            counts[seq] += 1
+        for block, rows in stream_blocks(master_seed, trials):
+            for start in range(0, len(block), TREE_BLOCK):  # a 1,024-trial block holds whole sub-blocks
+                lanes, hits = range(start, min(start + TREE_BLOCK, len(block))), 0  # those left to the loop below
+                if tree is not None and rows.size:  # a block reaching past 2**32 has no rows to walk
+                    codes = tree.walk_rows(rows[lanes.start : lanes.stop])
+                    reached = (-2 - codes[codes <= -2]).tolist()  # leaf indices, tallied in one C loop
+                    counts.update(map(tree.leaves.__getitem__, reached))
+                    hits, lanes = len(reached), start + np.flatnonzero(codes == -1)
+                for j, row in zip(lanes, rows[lanes].tolist()):  # in trial order, on the tree the trials before left
+                    rng = trial_draws((master_seed, block[j]), row)
+                    if tree is None:
+                        seq = _simulate_sequence(p_model, q_model, *run, rng)
+                    else:
+                        seq, drawn = tree.walk(rng)
+                        if seq is None:
+                            log = [] if len(tree.k) < TREE_CAP else None
+                            seq = _simulate_sequence(p_model, q_model, *run, _Replay(drawn, rng, log))
+                            if log is not None:
+                                tree.graft(log, seq)
+                        else:
+                            hits += 1
+                    counts[seq] += 1
+                if tree is not None and len(tree.k) >= TREE_CAP and 2 * hits < TREE_BLOCK:
+                    tree = None  # full, and it answered under half of these trials
     return counts
 
 
@@ -430,11 +452,11 @@ def monte_carlo_fit(
     worker that receives both models by pickle, so there a model whose
     generator does not pickle (a ``lambda``, say) raises pickle's own error.
 
-    Each chunk runs the sampler once per distinct decision path, in a tree
-    that grafts no path once it holds ``TREE_CAP`` inner nodes, so it holds
-    at most that many plus one path.  A full tree that answered fewer
-    than half of the last ``TREE_BLOCK`` trials is dropped, and the rest of
-    the chunk runs the sampler on every trial.  This needs a sampler that
+    Each chunk runs the sampler once per distinct decision path, in a tree walked
+    ``TREE_BLOCK`` trials at a time that grafts no path once it holds ``TREE_CAP``
+    inner nodes, so it holds at most that many plus one path.  A full tree that
+    answered fewer than half of the last ``TREE_BLOCK`` trials is dropped, and the
+    rest of the chunk runs the sampler on every trial.  This needs a sampler that
     reads its uniforms only through ``<`` and emits a function of them.
     """
     if gamma < 1:

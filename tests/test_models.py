@@ -433,17 +433,18 @@ def _check_draws(master, keys, rng, draws=20):
 
 
 def _check_stream_run(master, trials, head=()):
-    """Walk a run: each yield is numpy's stream of its key, and each stored state is seed_state's and numpy's."""
+    """Walk a run: each yield is numpy's stream of its key, and its block's stored states are seed_state's and numpy's."""
     visited = []
     for rng in stream_run(master, trials, head):
-        i = trials[len(visited)]
-        assert len(models._stored) <= 1024
-        stored = models._stored.get((master, *head, i))
-        if 0 <= i < 2**32:
+        n = len(visited)
+        i, block = trials[n], trials[n - n % 1024 : n - n % 1024 + 1024]
+        if all(0 <= key < 2**32 for key in (block[0], block[-1])):  # the block lies inside [0, 2**32)
             assert isinstance(rng, models._DrawnAhead)
-            assert stored == seed_state(master, (*head, i)).tolist(), (master, head, i)
-        else:
-            assert isinstance(rng, np.random.Generator) and stored is None  # wider keys take the scalar path
+            assert list(models._stored) == [(master, *head)]  # one entry per block
+            stored, states = models._stored[(master, *head)]
+            assert stored == block and states[block.index(i)].tolist() == seed_state(master, (*head, i)).tolist()
+        else:  # wider keys take the scalar path, and so does the rest of their block
+            assert isinstance(rng, np.random.Generator) and not models._stored
         ours, ref = substream(master, *head, i), _numpy_stream(master, *head, i)
         assert ours.bit_generator.state == ref.bit_generator.state, (master, head, i)
         _check_draws(master, (*head, i), rng)
@@ -484,6 +485,7 @@ def test_a_stored_state_answers_only_its_own_key_tuple():
     master = 2026
     for head in ((), (3,)):
         for i, _ in enumerate(stream_run(master, range(4), head)):
+            assert list(models._stored) == [(master, *head)]
             for keys in ((*head, i), (*head, i, 0), (i,), (i, 0)):
                 for m in (master, master + 1):
                     ours, ref = substream(m, *keys), _numpy_stream(m, *keys)
@@ -525,7 +527,7 @@ def test_uniforms_are_the_substream_draws_inside_and_outside_a_run(master, head)
 def test_a_run_left_early_stores_nothing():
     with pytest.raises(RuntimeError, match="trial 1,500"):
         for n, _ in enumerate(stream_run(7, range(3_000), (2,))):
-            assert len(models._stored) == 1024
+            assert list(models._stored) == [(7, 2)]  # one entry per block
             if n == 1_500:
                 raise RuntimeError("trial 1,500 failed")
     assert not models._stored

@@ -8,6 +8,7 @@ import struct
 import threading
 from itertools import product
 
+import numpy as np
 import pytest
 
 from specverify import models, oracle, verify
@@ -16,6 +17,7 @@ from specverify.models import (
     TableArModel,
     generate_model_pair,
     sample_draft,
+    stream_blocks,
     stream_run,
     substream,
     trace_for,
@@ -238,34 +240,39 @@ def test_monte_carlo_is_worker_count_independent(small_pair):
 
 def test_monte_carlo_derives_one_substream_per_trial_from_one_block_at_a_time(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
-    runs, keys = [], []
+    runs, blocks = [], []
 
     def counted(*args):
         runs.append(args)
-        for rng in stream_run(*args):
-            assert len(models._stored) <= 1024
-            keys.append(rng._key)
-            yield rng
+        for block, rows in stream_blocks(*args):
+            assert list(models._stored) == [(17,)] and models._stored[17,][0] == block  # this block's store alone
+            blocks.append(block)
+            yield block, rows
 
-    monkeypatch.setattr(oracle, "stream_run", counted)
+    monkeypatch.setattr(oracle, "stream_blocks", counted)
+    draws = counted_calls(monkeypatch, oracle, "trial_draws")
     monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
     assert runs == [(17, range(10_000))]
-    assert keys == [(17, trial) for trial in range(10_000)]
+    assert [i for block in blocks for i in block] == list(range(10_000)) and len(blocks) == 10  # one key per trial
+    keys = [key for key, _ in draws]  # the trials the tree did not answer from their rows, in trial order
+    assert 0 < len(keys) < 1_000 and keys == sorted(set(keys)) and {master for master, _ in keys} == {17}
     assert not models._stored
 
 
-class _FailingDraws:
-    def random(self):
-        raise RuntimeError("trial 1,501 failed")
+class _FailingRows:
+    def _fail(self, *args):
+        raise RuntimeError("the second block failed")
+
+    __getitem__ = __getattr__ = _fail  # any read of the rows raises
 
 
-def failing_at_trial_1501(seen):
-    """A ``stream_run`` that calls ``seen()`` on each yield and whose 1,501st yield raises when the trial draws."""
+def failing_in_the_second_block(seen):
+    """A ``stream_blocks`` that calls ``seen()`` on each block and whose second block's rows raise when read."""
 
     def run(*args):
-        for n, rng in enumerate(stream_run(*args), 1):
+        for n, (block, rows) in enumerate(stream_blocks(*args)):
             seen()
-            yield rng if n <= 1_500 else _FailingDraws()
+            yield block, rows if n == 0 else _FailingRows()
 
     return run
 
@@ -273,10 +280,11 @@ def failing_at_trial_1501(seen):
 def test_a_fit_that_raises_leaves_no_stored_state(monkeypatch):
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
     stored = []
-    monkeypatch.setattr(oracle, "stream_run", failing_at_trial_1501(lambda: stored.append(len(models._stored))))
-    with pytest.raises(RuntimeError, match="1,501"):
+    monkeypatch.setattr(oracle, "stream_blocks", failing_in_the_second_block(lambda: stored.append(dict(models._stored))))
+    with pytest.raises(RuntimeError, match="second block"):
         monte_carlo_fit("tokenwise", p, q, 2, 2, 10_000, 17)
-    assert len(stored) == 1_501 and max(stored) == 1024
+    assert [list(store) for store in stored] == [[(17,)], [(17,)]]  # one entry per block, not one per key
+    assert [store[17,][0] for store in stored] == [range(1024), range(1024, 2048)]
     assert not models._stored
 
 
@@ -319,16 +327,16 @@ def test_a_fit_that_stores_no_plans_is_the_same_fit(monkeypatch, verifier, draft
     assert stored[1]["pass"] == (mutate is None)  # h-double is still caught
 
 
-def reference_histogram(p, q, verifier, gamma, length, master_seed, drafts, mutate):
+def reference_histogram(p, q, verifier, gamma, length, master_seed, drafts, mutate, trials=10_000):
     """The loop the decision tree replaced: the sampler run on every trial's stream, inside one run memo."""
     counts = collections.Counter()
     with models.run_memo(models.RUN_MEMO_CAP):
-        for rng in stream_run(master_seed, range(10_000)):
+        for rng in stream_run(master_seed, range(trials)):
             counts[oracle._simulate_sequence(p, q, verifier, gamma, length, drafts, mutate, rng)] += 1
     return counts
 
 
-def fit_histogram(monkeypatch, p, q, verifier, gamma, length, master_seed, drafts, mutate, workers=1):
+def fit_histogram(monkeypatch, p, q, verifier, gamma, length, master_seed, drafts, mutate, workers=1, trials=10_000):
     """The histogram of ``monte_carlo_fit``, summed over its chunks."""
     pool, tallies = oracle.pool_map, []
 
@@ -338,7 +346,7 @@ def fit_histogram(monkeypatch, p, q, verifier, gamma, length, master_seed, draft
         return chunks
 
     monkeypatch.setattr(oracle, "pool_map", tallied)
-    monte_carlo_fit(verifier, p, q, gamma, length, 10_000, master_seed, k_drafts=drafts, mutate=mutate, workers=workers)
+    monte_carlo_fit(verifier, p, q, gamma, length, trials, master_seed, k_drafts=drafts, mutate=mutate, workers=workers)
     return tallies[-1]
 
 
@@ -390,20 +398,26 @@ def test_a_fit_whose_trials_draw_past_the_drawn_ahead_row_replays_them(monkeypat
 def test_a_full_tree_is_walked_while_it_answers_half_of_a_block(monkeypatch, spec, verifier, gamma, length, kept):
     p, q = generate_model_pair(spec)
     want = reference_histogram(p, q, verifier, gamma, length, 43, 1, None)
-    graft, grafted = oracle._graft, []
+    graft, sizes = oracle._Tree.graft, []
+    walk_rows, walked = oracle._Tree.walk_rows, []
 
-    def counted(*args):
-        grafted.append(graft(*args))
-        return grafted[-1]
+    def counted(tree, *args):  # the tree's size before and after each graft
+        sizes.append(len(tree.k))
+        graft(tree, *args)
+        sizes.append(len(tree.k))
 
-    monkeypatch.setattr(oracle, "_graft", counted)
-    walks = counted_calls(monkeypatch, oracle, "_walk")
+    def walking(tree, rows):  # every trial of a run is walked on the tree a block at a time, while it is kept
+        walked.append(len(rows))
+        return walk_rows(tree, rows)
+
+    monkeypatch.setattr(oracle._Tree, "graft", counted)
+    monkeypatch.setattr(oracle._Tree, "walk_rows", walking)
     assert fit_histogram(monkeypatch, p, q, verifier, gamma, length, 43, 1, None) == want
-    assert sum(grafted[:-1]) < oracle.TREE_CAP <= sum(grafted)  # full, and grown no further
+    assert sizes[-2] < oracle.TREE_CAP <= sizes[-1]  # full, and grown no further
     if kept:
-        assert len(walks) == 10_000
+        assert sum(walked) == 10_000
     else:  # dropped at the end of a block
-        assert len(walks) % oracle.TREE_BLOCK == 0 and len(walks) < 10_000
+        assert sum(walked) % oracle.TREE_BLOCK == 0 and sum(walked) < 10_000
 
 
 @pytest.mark.parametrize(
@@ -414,6 +428,120 @@ def test_a_fit_in_two_workers_replays_the_same_histogram(monkeypatch, spec, veri
     p, q = generate_model_pair(spec)
     want = reference_histogram(p, q, verifier, gamma, gamma, 44, drafts, None)
     assert fit_histogram(monkeypatch, p, q, verifier, gamma, gamma, 44, drafts, None, workers=2) == want
+
+
+def trial_by_trial_counts(payload):
+    """The loop the block walk replaced: each trial walks the tree in trial order, judged every ``TREE_BLOCK`` trials."""
+    p, q, trials, master_seed, *run = payload
+    counts, tree, hits = collections.Counter(), oracle._Tree(), 0
+    with models.run_memo(models.RUN_MEMO_CAP):
+        for n, rng in enumerate(stream_run(master_seed, trials), 1):
+            if tree is None:
+                seq = oracle._simulate_sequence(p, q, *run, rng)
+            else:
+                seq, drawn = tree.walk(rng)
+                if seq is None:
+                    log = [] if len(tree.k) < oracle.TREE_CAP else None
+                    seq = oracle._simulate_sequence(p, q, *run, oracle._Replay(drawn, rng, log))
+                    if log is not None:
+                        tree.graft(log, seq)
+                else:
+                    hits += 1
+                if n % oracle.TREE_BLOCK == 0:
+                    if len(tree.k) >= oracle.TREE_CAP and 2 * hits < oracle.TREE_BLOCK:
+                        tree = None
+                    hits = 0
+            counts[seq] += 1
+    return counts
+
+
+TREE_FITS = [(TREE_FILLING_PAIR, "capped-hsd", 4, 4), (RETRACING_PAIR, "tokenwise", 2, 5)]
+
+
+@pytest.mark.parametrize("spec, verifier, gamma, length", TREE_FITS)
+def test_each_chunk_of_an_unaligned_split_runs_the_sampler_on_the_trials_the_trial_by_trial_loop_does(
+    monkeypatch, spec, verifier, gamma, length
+):
+    # 10,001 trials in three chunks: starts off the block grid, and a short last sub-block in each chunk
+    p, q = generate_model_pair(spec)
+    runs = counted_calls(monkeypatch, oracle, "_simulate_sequence")
+    bounds = [round(i * 10_001 / 3) for i in range(4)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        payload = (p, q, range(start, stop), 47, verifier, gamma, length, 1, None)
+        want = trial_by_trial_counts(payload), len(runs)  # the same sampler runs: the same trials fell off
+        runs.clear()
+        assert (oracle._trial_counts(payload), len(runs)) == want, (start, stop)
+        runs.clear()
+
+
+@pytest.mark.parametrize("trials, workers", [(10_001, 1), (10_001, 3)])
+@pytest.mark.parametrize("spec, verifier, gamma, length", TREE_FITS)
+def test_a_fit_of_any_length_and_split_replays_the_same_histogram(monkeypatch, spec, verifier, gamma, length, trials, workers):
+    p, q = generate_model_pair(spec)
+    want = reference_histogram(p, q, verifier, gamma, length, 47, 1, None, trials)
+    assert fit_histogram(monkeypatch, p, q, verifier, gamma, length, 47, 1, None, workers, trials) == want
+
+
+class _RowOnly:
+    """A trial's row of uniforms, and nothing past it."""
+
+    def __init__(self, row):
+        self._draws = iter(row.tolist())
+
+    def random(self):
+        for u in self._draws:
+            return u
+        raise IndexError("past the row")
+
+
+def grown_trees(monkeypatch, fits):
+    """The decision tree each ``(spec, verifier, gamma, length, drafts, mutate)`` fit grows, as the fit leaves it."""
+    trees = []
+
+    class Kept(oracle._Tree):
+        def __init__(self):
+            super().__init__()
+            trees.append(self)
+
+    monkeypatch.setattr(oracle, "_Tree", Kept)
+    for spec, verifier, gamma, length, drafts, mutate in fits:
+        monte_carlo_fit(verifier, *generate_model_pair(spec), gamma, length, 10_000, 45, k_drafts=drafts, mutate=mutate)
+    return trees
+
+
+def handmade_trees():
+    """An empty tree, a tree whose root is a leaf, and one whose root reads the first uniform past a row."""
+    empty, leaf, far = oracle._Tree(), oracle._Tree(), oracle._Tree()
+    leaf.graft([], (0, 1))
+    far.graft([(0, 0.5, True), (models._ROW, 0.25, False)], (1, 1))
+    far.graft([(0, 0.5, False)], (0, 0))
+    return [empty, leaf, far]
+
+
+def test_the_block_walk_ends_each_lane_where_the_scalar_walk_does(monkeypatch):
+    fits = [(CRITERION_2_PAIR, v, 2, 2, k, m) for v, k, m in EVERY_FIT] + [
+        (RETRACING_PAIR, "tokenwise", 2, 5, 1, None),
+        (ModelPairSpec(2, 5, 9, 0.8, 1.2), "multidraft-hsd", 4, 4, 3, None),  # some paths read past the row
+    ]
+    trees = handmade_trees() + grown_trees(monkeypatch, fits)
+    assert len(trees) == 3 + len(fits)  # one run, so one tree, per fit
+    rows = np.concatenate([rows for _, rows in stream_blocks(46, range(2_048))])
+    rows[::7, 0] = 0.5  # a tie with the hand-made thresholds: < is strict in both walks
+    ends = collections.Counter()
+    for tree in trees:
+        for row, code in zip(rows, tree.walk_rows(rows).tolist()):
+            try:
+                seq, _ = tree.walk(_RowOnly(row))
+                end = "fell off" if seq is None else "leaf"
+            except IndexError:
+                end = "past the row"
+            if end == "leaf":
+                assert code <= -2 and tree.leaves[-2 - code] is seq, (row, code, seq)
+            else:
+                assert code == -1, (row, code, end)
+            ends[end] += 1
+    assert len(ends) == 3, ends  # lanes reached a leaf, fell off and read past the row
+    assert not models._stored
 
 
 @pytest.mark.parametrize("misread", [lambda u: u * 1.0, float, lambda u: u <= 0.5, lambda u: u == 0.5, bool])
@@ -450,12 +578,13 @@ def test_a_run_memo_never_outgrows_its_cap(monkeypatch):
     chain, builds = verify.capped_hsd_chain, []
     trace_for, drafts = models.trace_for, []
     runs = counted_calls(monkeypatch, oracle, "_simulate_sequence")
+    simulate = oracle._simulate_sequence
 
-    def measured(*args):  # each trial's run memo, measured once the trial is done
-        for rng in stream_run(*args):
-            yield rng
-            sizes.append(len(models._run.memo))
-            memos.append(models._run.memo)
+    def measured(*args):  # the run memo, measured once each sampler run, where it grows, is done
+        seq = simulate(*args)
+        sizes.append(len(models._run.memo))
+        memos.append(models._run.memo)
+        return seq
 
     def counted(trace):
         builds.append(trace)
@@ -465,14 +594,14 @@ def test_a_run_memo_never_outgrows_its_cap(monkeypatch):
         drafts.append(tokens)
         return trace_for(q, p, prefix, tokens)
 
-    monkeypatch.setattr(oracle, "stream_run", measured)
+    monkeypatch.setattr(oracle, "_simulate_sequence", measured)
     monkeypatch.setattr(verify, "capped_hsd_chain", counted)
     monkeypatch.setattr(models, "trace_for", assembled)
     for cap in (models.RUN_MEMO_CAP, 5):
         open_runs_with_cap(monkeypatch, cap)
         sizes.clear(), memos.clear(), builds.clear(), drafts.clear(), runs.clear()
         monte_carlo_fit("multidraft-hsd", p, q, 3, 3, 10_000, 32, k_drafts=3)
-        assert len(sizes) == 10_000 and max(sizes) <= cap and len({id(memo) for memo in memos}) == 1
+        assert len(sizes) == len(runs) and max(sizes) <= cap and len({id(memo) for memo in memos}) == 1
         kinds = memo_kinds(memos[-1])
         if cap == 5:  # full: every sampler run builds again each trace or draft not stored
             assert max(sizes) == 5 and len(builds) > len(runs) > 1_000 and len(drafts) > len(runs)
@@ -486,11 +615,11 @@ def test_no_run_memo_outlives_its_fit(monkeypatch):
     monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
     assert models._run.memo is None
     memos = []
-    monkeypatch.setattr(oracle, "stream_run", failing_at_trial_1501(lambda: memos.append(models._run.memo)))
-    with pytest.raises(RuntimeError, match="1,501"):
+    monkeypatch.setattr(oracle, "stream_blocks", failing_in_the_second_block(lambda: memos.append(models._run.memo)))
+    with pytest.raises(RuntimeError, match="second block"):
         monte_carlo_fit("capped-hsd", p, q, 2, 2, 10_000, 17)
     kinds = memo_kinds(memos[-1])
-    assert len(memos) == 1_501 and len({id(memo) for memo in memos}) == 1
+    assert len(memos) == 2 and len({id(memo) for memo in memos}) == 1
     assert 0 < kinds["plan"] <= 4 and kinds["node"] == 1 + 2 + 4
     assert models._run.memo is None and models._run.cap == 0
 
