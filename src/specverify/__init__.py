@@ -5,17 +5,7 @@ reject, and resample behaviour of every verifier can be checked against the
 target distribution by exhaustive enumeration or Monte Carlo.
 """
 
-from .divergence import (
-    BranchDivergences,
-    RatioChain,
-    branch_divergences,
-    capped_branch_divergences,
-    generalized_divergence,
-    hierarchy_check,
-    ratio_chain,
-    ratio_chain_from_conditionals,
-    unique_capping_indices,
-)
+from .divergence import RatioChain, ratio_chain, ratio_chain_from_conditionals
 from .metrics import method_expected_tau, whole_draft_acceptance
 from .models import (
     Dist,
@@ -37,7 +27,6 @@ from .oracle import (
     total_variation,
 )
 from .verify import (
-    Event,
     VerifyOutcome,
     blockwise_acceptance_chain,
     capped_hsd_chain,
@@ -54,10 +43,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchDivergences",
     "Dist",
     "DraftTrace",
-    "Event",
     "FitReport",
     "ModelPairSpec",
     "RatioChain",
@@ -66,15 +53,11 @@ __all__ = [
     "VerifyOutcome",
     "YieldDistribution",
     "blockwise_acceptance_chain",
-    "branch_divergences",
-    "capped_branch_divergences",
     "capped_hsd_chain",
     "capped_hsd_verify",
     "enumerate_yield",
     "expected_accept_length",
-    "generalized_divergence",
     "generate_model_pair",
-    "hierarchy_check",
     "method_expected_tau",
     "monte_carlo_fit",
     "multidraft_hsd_verify",
@@ -90,6 +73,5 @@ __all__ = [
     "tokenwise_verify",
     "total_variation",
     "trace_for",
-    "unique_capping_indices",
     "whole_draft_acceptance",
 ]

@@ -17,10 +17,11 @@ Inside a run memo (:func:`specverify.models.run_memo`) the sampler builds
 each distinct trace's plan once, and the branch chains each branch's two
 sums once.
 
-Every verifier consumes one uniform per decision, drawn in scan order, so a
-trajectory can be replayed from its event log.  Branch and block sums
+Every verifier consumes one uniform per decision, drawn in scan order, and
+reads it by ``u < c`` alone, so a Monte Carlo trial replays from the log of
+those tests (:class:`specverify.oracle._Probe`).  Branch and block sums
 ``fsum`` filtered gap lists: bit for bit the sums of ``max(gap, 0)``, for the
-reason :func:`specverify.divergence._branch_sums` gives.
+reason :func:`_branch_ratios` gives.
 """
 
 from __future__ import annotations
@@ -38,54 +39,27 @@ from .models import Dist, DraftTrace, Sequence, TableArModel, _run, index_from_u
 logger = logging.getLogger(__name__)
 
 
-class Event(NamedTuple):
-    """One verification decision: which position, what happened, at what odds."""
-
-    position: int
-    kind: str  # accept | reject | resample | bonus
-    prob: float | None = None
-    u: float | None = None
-
-
 class VerifyOutcome(NamedTuple):
-    """Accepted prefix length, emitted tokens, and the decision log."""
+    """Accepted prefix length and emitted tokens."""
 
     tau: int
     emitted: Sequence
-    events: tuple[Event, ...]
 
 
-def _resample(dist: Dist, position: int, rng: np.random.Generator, events: list[Event], kind: str = "resample") -> int:
-    """Draw one token from ``dist`` and log it as a ``kind`` event."""
-    u = rng.random()
-    tok = index_from_uniform(dist, u)
-    events.append(Event(position, kind, dist[tok], u))
-    return tok
-
-
-def backward_scan(h: tuple[float, ...], rng: np.random.Generator) -> tuple[int, list[Event]]:
+def backward_scan(h: tuple[float, ...], rng: np.random.Generator) -> int:
     """Scan positions from the end, accepting the longest surviving prefix."""
-    events: list[Event] = []
     for t in range(len(h), 0, -1):
-        u = rng.random()
-        if u < h[t - 1]:
-            events.append(Event(t, "accept", h[t - 1], u))
-            return t, events
-        events.append(Event(t, "reject", h[t - 1], u))
-    return 0, events
+        if rng.random() < h[t - 1]:
+            return t
+    return 0
 
 
-def forward_scan(h: tuple[float, ...], rng: np.random.Generator) -> tuple[int, list[Event]]:
+def forward_scan(h: tuple[float, ...], rng: np.random.Generator) -> int:
     """Scan positions from the front, stopping at the first rejection."""
-    events: list[Event] = []
     for t in range(1, len(h) + 1):
-        u = rng.random()
-        if u < h[t - 1]:
-            events.append(Event(t, "accept", h[t - 1], u))
-            continue
-        events.append(Event(t, "reject", h[t - 1], u))
-        return t - 1, events
-    return len(h), events
+        if not rng.random() < h[t - 1]:
+            return t - 1
+    return len(h)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +107,9 @@ def tokenwise_chain(trace: DraftTrace) -> tuple[float, ...]:
 def _branch_ratios(trace: DraftTrace, caps: tuple[int, ...], warn: bool) -> list[float]:
     """Unclamped ratios ``d_pq / d_qp`` (1 where ``d_qp == 0``) of branches t = 1 .. gamma - 1, capped at ``caps[t]``.
 
-    The sums are those of ``capped_branch_divergences``, inline because every chain runs this loop.
-    Inside a :func:`~specverify.models.run_memo` they come from the memo, stored on a miss.
+    Both sums filter the one gap list ``a - b``: ``fsum`` is correctly rounded (numpy's sum is not), so zeros
+    and order do not matter, and they equal, bit for bit, ``fsum(max(a - b, 0))`` and, as ``b - a == -(a - b)``,
+    ``fsum(max(b - a, 0))``.  Inside a :func:`~specverify.models.run_memo` they come from the memo, stored on a miss.
     ``warn`` logs, once per build, a branch with excess 0 but deficit > 0: under the
     trace's own caps ``r_t <= r_{m_t}``, so only rounding gives that; uncapped, any ``r_t > 1`` can.
     """
@@ -299,7 +274,7 @@ def _verify(
     if gamma == 0:
         raise ValueError("empty drafts cannot be verified")
     plan, scan = SINGLE_DRAFT[verifier]
-    accepted, tau, override, events = (), 0, None, []
+    accepted, tau, override = (), 0, None
     for tr in traces:
         if tau and tr.tokens[:tau] != accepted:
             continue  # prefix mismatch, skip this draft
@@ -308,24 +283,22 @@ def _verify(
             p_dists = (override, *tr.p_dists[tau + 1 :])
             sub = DraftTrace(prefix + accepted, tr.tokens[tau:], tr.q_dists[tau:], p_dists, tr.bonus_dist)
         h, residual = _planned(plan, sub)
-        t_local, scan_events = SCANS[scan](h if transform is None else transform(h), rng)
-        events += [Event(e.position + tau, e.kind, e.prob, e.u) for e in scan_events] if tau else scan_events
+        t_local = SCANS[scan](h if transform is None else transform(h), rng)
         if t_local:
             tau += t_local
             accepted = tr.tokens[:tau]
         if tau == gamma:
             if tr.bonus_dist is None:
                 raise ValueError("full draft accepted but the trace has no bonus distribution")
-            bonus = _resample(tr.bonus_dist, gamma + 1, rng, events, "bonus")
-            return VerifyOutcome(tau, accepted + (bonus,), tuple(events))
+            return VerifyOutcome(tau, accepted + (index_from_uniform(tr.bonus_dist, rng.random()),))
         if residual is None:  # no single-step residual: refill every position to the end of the block
             emitted = list(accepted)
             for t in range(tau, gamma):
                 dist = naive_branch_residual(p_model, q_model, prefix + tuple(emitted))
-                emitted.append(_resample(dist, t + 1, rng, events))
-            return VerifyOutcome(tau, tuple(emitted), tuple(events))
+                emitted.append(index_from_uniform(dist, rng.random()))
+            return VerifyOutcome(tau, tuple(emitted))
         override = residual(t_local)
-    return VerifyOutcome(tau, accepted + (_resample(override, tau + 1, rng, events),), tuple(events))
+    return VerifyOutcome(tau, accepted + (index_from_uniform(override, rng.random()),))
 
 
 def tokenwise_verify(trace: DraftTrace, rng: np.random.Generator) -> VerifyOutcome:

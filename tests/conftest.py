@@ -46,6 +46,6 @@ def stray_tokenwise(draft, token=None):
         if trace.tokens != draft:
             return outcome
         stray = len(trace.q_dists[0]) if token is None else token
-        return VerifyOutcome(outcome.tau, (stray,) * (trace.gamma + 1), outcome.events)
+        return VerifyOutcome(outcome.tau, (stray,) * (trace.gamma + 1))
 
     return verify

@@ -17,14 +17,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from specverify.divergence import (
-    branch_divergences,
-    generalized_divergence,
-    hierarchy_check,
-    joint_products,
-    ratio_chain,
-    unique_capping_indices,
-)
+from specverify.divergence import joint_products, ratio_chain
 from specverify.metrics import method_expected_tau, whole_draft_acceptance
 from specverify.models import ModelPairSpec, generate_model_pair, sample_draft, substream, trace_for
 from specverify.oracle import (
@@ -50,6 +43,7 @@ from specverify.worked_example import (
 )
 
 from conftest import exact_grid_pairs, pair_for
+from divergence_theory import branch_divergences, generalized_divergence, hierarchy_check, unique_capping_indices
 
 VERIFIERS = ("tokenwise", "naive-hsd", "capped-hsd")
 
@@ -310,7 +304,7 @@ def test_capped_hsd_is_block_verification():
 
 def test_criterion_4_reference_vectors():
     checks = run_checks(1e-3)
-    tau, _ = backward_scan(REFERENCE_BRANCH_H, substream(40_000))
+    tau = backward_scan(REFERENCE_BRANCH_H, substream(40_000))
     ok = all(c.ok for c in checks) and tau == REFERENCE_ACCEPTED_LENGTH
     detail = ", ".join(f"{c.name} err={c.max_error:.1e}" for c in checks) + f", scan tau={tau}"
     report(4, "reference worked-example vectors", ok, detail)

@@ -4,17 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from specverify.divergence import (
-    branch_divergences,
-    capped_branch_divergences,
-    capped_branch_masses,
-    generalized_divergence,
-    hierarchy_check,
-    joint_products,
-    ratio_chain,
-    ratio_chain_from_conditionals,
-    unique_capping_indices,
-)
+from specverify.divergence import capped_branch_masses, joint_products, ratio_chain, ratio_chain_from_conditionals
 from specverify.models import DraftTrace, sample_draft, substream
 from specverify.worked_example import (
     REFERENCE_CLAMPED_RSTAR,
@@ -25,6 +15,13 @@ from specverify.worked_example import (
 )
 
 from conftest import pair_for
+from divergence_theory import (
+    branch_divergences,
+    capped_branch_divergences,
+    generalized_divergence,
+    hierarchy_check,
+    unique_capping_indices,
+)
 
 
 def random_dist(rng, size):

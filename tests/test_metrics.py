@@ -80,7 +80,7 @@ def test_scans_validate_the_analytic_formulas(small_pair):
         builder, mode = METHOD_CHAINS[method]
         h = builder(trace)
         rng = substream(75)
-        mean = sum(scans[mode](h, rng)[0] for _ in range(n)) / n
+        mean = sum(scans[mode](h, rng) for _ in range(n)) / n
         analytic = method_expected_tau(method, trace)
         assert abs(mean - analytic) <= 4.0 * math.sqrt(4.0**2 / n) + 0.01
 

@@ -910,19 +910,20 @@ def _verifier_outputs_digest() -> str:
             yielded = enumerate_yield(verifier, p, q, gamma, length, mutate=mutate)
             for seq in sorted(yielded.probs):
                 digest.update(bytes(seq) + struct.pack("<d", yielded.probs[seq]))
-    # tau, emitted tokens and the full event log of every verifier on seeded traces
+    # tau, emitted tokens and the probe log, every ``u_k < c`` test in order, of every verifier on seeded traces
     p, q = pair_for(7, vocab=3, depth=4, eps=1.0)
     for i in range(400):
         traces = [sample_draft(q, p, (), 3, substream(95, i, k)) for k in range(3)]
-        outcomes = (
-            tokenwise_verify(traces[0], substream(96, i)),
-            naive_hsd_verify(traces[0], p, q, substream(96, i)),
-            capped_hsd_verify(traces[0], substream(96, i)),
-            multidraft_hsd_verify(traces, substream(96, i)),
-            multidraft_tokenwise_verify(traces, substream(96, i)),
-        )
-        for outcome in outcomes:
-            digest.update(repr((outcome.tau, outcome.emitted, outcome.events)).encode())
+        for verify_one in (
+            lambda rng: tokenwise_verify(traces[0], rng),
+            lambda rng: naive_hsd_verify(traces[0], p, q, rng),
+            lambda rng: capped_hsd_verify(traces[0], rng),
+            lambda rng: multidraft_hsd_verify(traces, rng),
+            lambda rng: multidraft_tokenwise_verify(traces, rng),
+        ):
+            log = []
+            outcome = verify_one(oracle._Replay([], substream(96, i), log))
+            digest.update(repr((outcome.tau, outcome.emitted, log)).encode())
     # whole fit reports, healthy and h-double, on a V=2 pair
     p, q = pair_for(5, vocab=2, depth=3, eps=0.8)
     for verifier, mutate in runs[:-1]:
@@ -932,4 +933,4 @@ def _verifier_outputs_digest() -> str:
 
 
 def test_verifier_outputs_match_the_golden_digest():
-    assert _verifier_outputs_digest() == "7be23a52f14cda5e1da6d2abb0e83eb20fcc0fc5a0c7a4621faa06d828706267"
+    assert _verifier_outputs_digest() == "e29557fc9776143dea62c7d5a18e3bacdaa856f8e6c073c41b72edd927e1a5dc"

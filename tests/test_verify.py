@@ -7,19 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.divergence import (
-    RatioChain,
-    capped_branch_divergences,
-    capped_branch_masses,
-    joint_products,
-    ratio_chain,
-)
+from specverify.divergence import RatioChain, capped_branch_masses, joint_products, ratio_chain
 from specverify.metrics import whole_draft_acceptance
 from specverify.models import DraftTrace, index_from_uniform, sample_draft, substream, trace_for
-from specverify.oracle import enumerate_yield, target_joint_distribution, total_variation
+from specverify.oracle import _Replay, enumerate_yield, target_joint_distribution, total_variation
 from specverify.verify import (
     SINGLE_DRAFT,
-    Event,
     VerifyOutcome,
     _capped_ratios,
     backward_scan,
@@ -45,6 +38,7 @@ from specverify.worked_example import (
 )
 
 from conftest import exact_grid_pairs, pair_for
+from divergence_theory import capped_branch_divergences
 
 
 def synthetic_trace(p_cond, q_cond):
@@ -66,7 +60,7 @@ def test_backward_scan_law_against_simulation():
     rng = substream(31)
     counts = [0] * 4
     for _ in range(n):
-        tau, _ = backward_scan(h, rng)
+        tau = backward_scan(h, rng)
         counts[tau] += 1
     for i in range(1, 4):
         analytic = 1.0
@@ -79,10 +73,9 @@ def test_backward_scan_law_against_simulation():
 
 
 def test_forward_scan_stops_at_first_rejection():
-    h = (1.0, 0.0, 1.0)
-    tau, events = forward_scan(h, substream(32))
-    assert tau == 1
-    assert [e.kind for e in events] == ["accept", "reject"]
+    h, log = (1.0, 0.0, 1.0), []
+    assert forward_scan(h, _Replay([], substream(32), log)) == 1
+    assert log == [(0, 1.0, True), (1, 0.0, False)]  # accept, then reject
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def test_capped_chain_dominates_blockwise_per_position():
 
 
 def test_reference_branch_chain_scans_to_length_four():
-    tau, _ = backward_scan(REFERENCE_BRANCH_H, substream(36))
+    tau = backward_scan(REFERENCE_BRANCH_H, substream(36))
     assert tau == 4
 
 
@@ -352,9 +345,9 @@ def test_expected_length_matches_simulated_scans():
     h = (0.7, 0.2, 0.9, 0.4)
     n = 200_000
     rng = substream(37)
-    total_fwd = sum(forward_scan(h, rng)[0] for _ in range(n))
+    total_fwd = sum(forward_scan(h, rng) for _ in range(n))
     rng = substream(38)
-    total_bwd = sum(backward_scan(h, rng)[0] for _ in range(n))
+    total_bwd = sum(backward_scan(h, rng) for _ in range(n))
     assert abs(total_fwd / n - expected_accept_length(h, "token")) <= 0.02
     assert abs(total_bwd / n - expected_accept_length(h, "backward")) <= 0.02
 
@@ -366,12 +359,13 @@ def test_expected_length_matches_simulated_scans():
 
 def test_tokenwise_accepts_everything_for_identical_models(identical_pair):
     p, q = identical_pair
-    trace = sample_draft(q, p, (), 3, substream(41))
-    outcome = tokenwise_verify(trace, substream(42))
+    trace, log = sample_draft(q, p, (), 3, substream(41)), []
+    outcome = tokenwise_verify(trace, _Replay([], substream(42), log))
     assert outcome.tau == 3
     assert outcome.emitted[:3] == trace.tokens
     assert len(outcome.emitted) == 4
-    assert outcome.events[-1].kind == "bonus"
+    assert [(k, below) for k, _, below in log[:3]] == [(0, True), (1, True), (2, True)]
+    assert {k for k, _, _ in log[3:]} == {3}  # the bonus draw, the one uniform read after the scan
 
 
 def test_tokenwise_residual_requires_a_deficit():
@@ -427,15 +421,17 @@ def test_naive_emitted_lengths_follow_the_printed_loop(small_pair):
     p, q = small_pair
     saw_reject = saw_accept = False
     for i in range(200):
-        trace = sample_draft(q, p, (), 3, substream(47, i))
-        outcome = naive_hsd_verify(trace, p, q, substream(48, i))
+        trace, log = sample_draft(q, p, (), 3, substream(47, i)), []
+        outcome = naive_hsd_verify(trace, p, q, _Replay([], substream(48, i), log))
         if outcome.tau == 3:
             saw_accept = True
             assert len(outcome.emitted) == 4
         else:
             saw_reject = True
             assert len(outcome.emitted) == 3
-            resamples = [e for e in outcome.events if e.kind == "resample"]
+            scanned = 3 - outcome.tau + (outcome.tau > 0)  # the rejections, then the accept if any
+            assert [k for k, _, _ in log[:scanned]] == list(range(scanned))
+            resamples = {k for k, _, _ in log[scanned:]}  # one uniform per resampled position
             assert len(resamples) == 3 - outcome.tau
         assert outcome.emitted[: outcome.tau] == trace.tokens[: outcome.tau]
     assert saw_accept and saw_reject
@@ -505,25 +501,19 @@ def test_multidraft_tokenwise_with_one_draft_is_the_single_draft_verifier(small_
 
 def tokenwise_rrs_by_position(traces, rng):
     """Recursive rejection sampling position by position: every draft extending the prefix tries each position."""
-    accepted, events = (), []
+    accepted = ()
     for t in range(traces[0].gamma):
         candidates = [tr for tr in traces if tr.tokens[:t] == accepted]
         p_cur = candidates[0].p_dists[t]
         for tr in candidates:
             x, qd = tr.tokens[t], tr.q_dists[t]
-            h, u = min(1.0, p_cur[x] / qd[x]), rng.random()
-            events.append(Event(t + 1, "accept" if u < h else "reject", h, u))
-            if u < h:
+            if rng.random() < min(1.0, p_cur[x] / qd[x]):
                 accepted, last = accepted + (x,), tr
                 break
             p_cur = tokenwise_residual(p_cur, qd)
         else:
-            tok = index_from_uniform(p_cur, u := rng.random())
-            events.append(Event(t + 1, "resample", p_cur[tok], u))
-            return VerifyOutcome(t, accepted + (tok,), tuple(events))
-    tok = index_from_uniform(last.bonus_dist, u := rng.random())
-    events.append(Event(len(accepted) + 1, "bonus", last.bonus_dist[tok], u))
-    return VerifyOutcome(len(accepted), accepted + (tok,), tuple(events))
+            return VerifyOutcome(t, accepted + (index_from_uniform(p_cur, rng.random()),))
+    return VerifyOutcome(len(accepted), accepted + (index_from_uniform(last.bonus_dist, rng.random()),))
 
 
 @pytest.mark.parametrize("vocab, gamma", list(product((2, 3, 5), (1, 2, 4))))
@@ -533,8 +523,10 @@ def test_multidraft_tokenwise_is_recursive_rejection_sampling_position_by_positi
     p, q = pair_for(vocab, vocab=vocab, depth=gamma + 1, eps=1.0)
     for k_drafts, i in product((1, 2, 3, 4), range(100)):
         traces = [sample_draft(q, p, (), gamma, substream(66, k_drafts, i, k)) for k in range(k_drafts)]
-        by_draft = multidraft_tokenwise_verify(traces, substream(67, k_drafts, i))
-        assert by_draft == tokenwise_rrs_by_position(traces, substream(67, k_drafts, i))
+        by_draft_log, by_position_log = [], []
+        by_draft = multidraft_tokenwise_verify(traces, _Replay([], substream(67, k_drafts, i), by_draft_log))
+        by_position = tokenwise_rrs_by_position(traces, _Replay([], substream(67, k_drafts, i), by_position_log))
+        assert (by_draft, by_draft_log) == (by_position, by_position_log)
 
 
 def test_multidraft_accepts_the_first_draft_when_models_agree(identical_pair):
@@ -622,22 +614,22 @@ def test_multidraft_tokenwise_two_drafts_exact_yield():
 
 
 # ---------------------------------------------------------------------------
-# event logs
+# probe logs
 # ---------------------------------------------------------------------------
 
 
 def test_scan_uniforms_are_replayable_from_the_log(small_pair):
     p, q = small_pair
-    trace = sample_draft(q, p, (), 3, substream(67))
-    outcome = capped_hsd_verify(trace, substream(68))
+    trace, log = sample_draft(q, p, (), 3, substream(67)), []
+    outcome = capped_hsd_verify(trace, _Replay([], substream(68), log))
     h = capped_hsd_chain(trace)
-    position = 3
-    for event in outcome.events:
-        if event.kind in ("accept", "reject"):
-            assert event.position == position
-            assert event.prob == h[event.position - 1]
-            assert (event.u < event.prob) == (event.kind == "accept")
-            position -= 1
+    scanned = 3 - outcome.tau + (outcome.tau > 0)  # the rejections, then the accept if any
+    scan = log[:scanned]
+    assert [(k, c) for k, c, _ in scan] == [(k, h[2 - k]) for k in range(scanned)]  # u_k < h[t - 1], t = 3, 2, ...
+    assert [below for _, _, below in scan] == [False] * (3 - outcome.tau) + [True] * (outcome.tau > 0)
+    rng = substream(68)
+    uniforms = [rng.random() for _ in range(log[-1][0] + 1)]
+    assert all((uniforms[k] < c) == below for k, c, below in log)
 
 
 # ---------------------------------------------------------------------------
@@ -645,19 +637,10 @@ def test_scan_uniforms_are_replayable_from_the_log(small_pair):
 # ---------------------------------------------------------------------------
 
 
-_EVENT = Event(1, "accept", 0.5, 0.25)
-
-
 @pytest.mark.parametrize(
     "value, field, text",
     [
-        (_EVENT, "position", "Event(position=1, kind='accept', prob=0.5, u=0.25)"),
-        (Event(2, "reject"), "u", "Event(position=2, kind='reject', prob=None, u=None)"),
-        (
-            VerifyOutcome(1, (0, 1), (_EVENT,)),
-            "tau",
-            "VerifyOutcome(tau=1, emitted=(0, 1), events=(Event(position=1, kind='accept', prob=0.5, u=0.25),))",
-        ),
+        (VerifyOutcome(1, (0, 1)), "tau", "VerifyOutcome(tau=1, emitted=(0, 1))"),
         (
             DraftTrace((0,), (1,), ((0.5, 0.5),), ((0.25, 0.75),), None),
             "tokens",
@@ -669,7 +652,7 @@ _EVENT = Event(1, "accept", 0.5, 0.25)
             "RatioChain(cond_r=(1.5,), r=(1.5,), m=(0,), rstar=(1.5,), clamped_rstar=(1.0,))",
         ),
     ],
-    ids=["event", "event-defaults", "outcome", "trace", "chain"],
+    ids=["outcome", "trace", "chain"],
 )
 def test_value_types_are_immutable_hashable_picklable_and_print_as_before(value, field, text):
     # each repr is pinned to the string the type printed when it was a frozen dataclass
