@@ -41,7 +41,7 @@ from .oracle import (
     target_joint_distribution,
     total_variation,
 )
-from .verify import MULTI_DRAFT
+from .verify import MULTI_DRAFT, DegenerateResidual
 from .worked_example import (
     REFERENCE_ACCEPTED_LENGTH,
     REFERENCE_BRANCH_H,
@@ -52,7 +52,7 @@ from .worked_example import (
     run_checks,
 )
 
-EXIT_OK, EXIT_USAGE, EXIT_SCIENCE = 0, 1, 2
+EXIT_OK, EXIT_USAGE, EXIT_SCIENCE, EXIT_NUMERIC = 0, 1, 2, 3
 ENV_OUT_DIR = "SPECVERIFY_OUT_DIR"
 
 TV_TOL = 1e-9
@@ -526,7 +526,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a degenerate residual comes of valid flags: floats lost the residual's mass
+        return EXIT_NUMERIC if isinstance(exc, DegenerateResidual) else EXIT_USAGE
 
 
 if __name__ == "__main__":

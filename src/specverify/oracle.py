@@ -8,8 +8,12 @@ to the output length, so every prefix is expanded once.  A branch of a
 chain and a residual drawn after a rejection depend only on the drafted
 prefix, so each is built once per prefix, not once per draft: the branch
 sums in the call's run memo, :func:`models.run_memo`, and the residuals in
-a local dict.  Comparing that yield against the target joint certifies or
-refutes losslessness to floating-point precision.
+a local dict.  Each draft's trace and draft joint depend on the pair and
+``gamma`` alone, so certificates of several verifiers on one pair share them
+through the draft table: one module-level entry, the last pair's list of at
+most ``ENUMERATION_GUARD`` traces, kept past the call and replaced by the next
+pair's.  Comparing that yield against the target joint certifies or refutes
+losslessness to floating-point precision.
 :func:`monte_carlo_fit` is the statistical fallback for configurations
 where enumeration is infeasible, such as multi-draft verification.  Each
 run of its trials (one serial fit, or one worker's chunk) keeps one run
@@ -67,6 +71,7 @@ MULTI_DRAFT_VERIFIERS = tuple(MULTI_DRAFT)
 MUTATIONS = ("h-double", "unclamp")
 TREE_CAP = 2_048  # inner nodes after which a decision tree grafts no more paths
 TREE_BLOCK = 256  # trials between two judgements of a full decision tree
+_draft_table: list[tuple] = [(None, None)]  # (key, [(trace, q_joint) per draft]) of the last pair certified
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,13 @@ def enumerate_yield(
     or the whole draft.  naive-hsd deposits its accepted prefixes instead,
     pushed through the naive branch residual out to ``gamma``.  All mass is
     then pushed through the target conditionals out to ``length``.
+
+    Each draft's ``(trace, q_joint)`` comes from the draft table, keyed by every
+    operand of its value: both models' ``conditional`` as bound at the call, the
+    :func:`models.trace_for` bound here, and ``gamma``.  A call on another key
+    builds the whole list and stores it once it is complete, in place of the
+    last one; it holds one pair's models and at most ``ENUMERATION_GUARD``
+    traces past the call.  Yields are bit for bit those built afresh.
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
@@ -195,10 +207,16 @@ def enumerate_yield(
     levels: list[dict[Sequence, float]] = [defaultdict(float) for _ in range(L + 1)]
     refill = False
     residuals: dict[Sequence, list[tuple[Sequence, float]]] = {}  # draft[:tau] -> children of residual(tau)
+    key = (p_model.conditional, q_model.conditional, trace_for, gamma)  # every operand of the table
+    last = _draft_table[0]  # one read, so a concurrent store cannot mix two entries
+    if last[0] == key:
+        drafts = last[1]
+    else:
+        traces = [trace_for(q_model, p_model, (), draft) for draft in product(range(vocab), repeat=gamma)]
+        drafts = [(trace, joint_products(trace)[1][gamma]) for trace in traces]
+        _draft_table[0] = (key, drafts)
     with run_memo(ENUMERATION_GUARD):  # fewer branches than drafts: the guard never binds
-        for draft in product(range(vocab), repeat=gamma):
-            trace = trace_for(q_model, p_model, (), draft)
-            q_joint = joint_products(trace)[1][gamma]
+        for trace, q_joint in drafts:
             if q_joint == 0.0:
                 continue
             h, residual = plan(trace)
@@ -211,7 +229,7 @@ def enumerate_yield(
                 weight = q_joint * pr_tau
                 if weight == 0.0:
                     continue
-                stem = draft[:tau]
+                stem = trace.tokens[:tau]
                 if tau == gamma or refill:
                     levels[tau][stem] += weight
                     continue

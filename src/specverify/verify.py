@@ -67,12 +67,16 @@ def forward_scan(h: tuple[float, ...], rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 
+class DegenerateResidual(ValueError):
+    """A residual with no mass: on valid inputs, a numerical failure, as floats cannot see the target's excess."""
+
+
 def _normalised(gaps: Iterable[float], degenerate: str, *where) -> Dist:
     """The law proportional to ``max(gap, 0)``; ``degenerate % where`` is the error when it has no mass."""
     num = [max(g, 0.0) for g in gaps]
     den = math.fsum(num)
     if den <= 0.0:
-        raise ValueError(degenerate % where)
+        raise DegenerateResidual(degenerate % where)
     return tuple(n / den for n in num)
 
 

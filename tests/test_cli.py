@@ -4,7 +4,7 @@ import json
 import pytest
 
 from specverify import cli, oracle
-from specverify.cli import EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, main
+from specverify.cli import EXIT_NUMERIC, EXIT_OK, EXIT_SCIENCE, EXIT_USAGE, main
 
 from conftest import stray_tokenwise
 
@@ -450,6 +450,16 @@ def test_a_verifier_no_run_can_use_is_a_usage_error(tmp_path, capsys, monkeypatc
     code, out, err = run(["oracle", "--verifiers", "tokenwise,nonsense", "--out", str(out_path)], capsys)
     message = f"unknown verifier 'nonsense'; oracle enumerates {oracle.SINGLE_DRAFT_VERIFIERS}"
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_a_residual_floats_cannot_see_is_a_numerical_failure(tmp_path, capsys):
+    # valid flags; on this peaked pair a reached tokenwise residual reads p == q == 1.0 at the top token
+    out_path = tmp_path / "report"
+    argv = ["oracle", "--vocab", "3", "--gamma", "3", "--pairs", "1", "--concentration", "30", "--eps", "0.8"]
+    code, out, err = run(argv + ["--out", str(out_path)], capsys)
+    message = "degenerate residual: target nowhere exceeds draft on this branch"
+    assert (code, out, err) == (EXIT_NUMERIC, "", f"error: {message}\n")
     assert not out_path.exists()
 
 

@@ -116,11 +116,17 @@ def test_enumeration_guards(small_pair):
         enumerate_yield("capped-hsd", big_p, big_q, 6, 6)  # 12^6 drafts
 
 
-@pytest.mark.parametrize("verifier", SINGLE_DRAFT_VERIFIERS)
-def test_drafts_the_draft_model_cannot_make_are_skipped(verifier):
-    # q never drafts token 1 first: a ratio chain of those drafts would divide by 0
+def undraftable_pair():
+    """A fresh explicit pair whose draft model never drafts token 1 first: those drafts have draft joint 0."""
     p = TableArModel(2, 2, table={(): (0.6, 0.4), (0,): (0.3, 0.7), (1,): (0.5, 0.5)})
     q = TableArModel(2, 2, table={(): (1.0, 0.0), (0,): (0.2, 0.8), (1,): (0.9, 0.1)})
+    return p, q
+
+
+@pytest.mark.parametrize("verifier", SINGLE_DRAFT_VERIFIERS)
+def test_drafts_the_draft_model_cannot_make_are_skipped(verifier):
+    # a ratio chain of the drafts starting with token 1 would divide by 0
+    p, q = undraftable_pair()
     assert total_variation(enumerate_yield(verifier, p, q, 2, 2), target_joint_distribution(p, 2)) <= 1e-15
 
 
@@ -657,6 +663,69 @@ def test_a_certificate_that_stores_no_prefixes_is_the_same_certificate(monkeypat
         for length, certified in zip((3, 5), stored):
             unstored = enumerate_yield(verifier, p, q, 3, length, mutate=mutate)
             assert {k: v.hex() for k, v in unstored.probs.items()} == {k: v.hex() for k, v in certified.probs.items()}
+
+
+def hex_probs(dist):
+    return {k: v.hex() for k, v in dist.probs.items()}
+
+
+@pytest.mark.parametrize("verifier, mutate", ENUMERATED_RUNS)
+@pytest.mark.parametrize(
+    "fresh_pair, runs",
+    [(lambda: pair_for(3, vocab=3, depth=5, eps=1.0), [(3, 3), (3, 5)]), (undraftable_pair, [(2, 2), (1, 2)])],
+    ids=["generated", "undraftable"],
+)
+def test_a_certificate_from_a_held_draft_table_is_the_fresh_certificate(verifier, mutate, fresh_pair, runs):
+    other = SINGLE_DRAFT_VERIFIERS[SINGLE_DRAFT_VERIFIERS.index(verifier) - 1]
+    for gamma, length in runs:  # (gamma, length): at L = gamma, then past it
+        fresh = enumerate_yield(verifier, *fresh_pair(), gamma, length, mutate=mutate)
+        p, q = fresh_pair()
+        enumerate_yield(other, p, q, gamma, gamma)  # the table now holds this pair's drafts
+        held = oracle._draft_table[0]
+        assert held[0][:2] == (p.conditional, q.conditional) and len(held[1]) == p.vocab_size**gamma
+        assert hex_probs(enumerate_yield(verifier, p, q, gamma, length, mutate=mutate)) == hex_probs(fresh)
+        assert oracle._draft_table[0] is held
+
+
+def test_the_draft_table_is_keyed_by_every_operand_and_stored_only_once_complete(monkeypatch):
+    p, q = pair_for(5, vocab=3, depth=4, eps=0.8)
+    built, failing = [], [False]
+
+    def assembled(q, p, prefix, tokens):  # bound in place of trace_for for every certificate below
+        built.append(tokens)
+        if failing[0] and len(built) == 20:
+            raise RuntimeError("draft 20 failed")
+        return trace_for(q, p, prefix, tokens)
+
+    def certified(p, q, gamma=3):
+        built.clear()
+        return hex_probs(enumerate_yield("capped-hsd", p, q, gamma))
+
+    monkeypatch.setattr(oracle, "trace_for", assembled)
+    drafted = certified(p, q)
+    assert len(built) == 27 and certified(p, q) == drafted and built == []  # a hit builds nothing
+    monkeypatch.setattr(q, "conditional", p.conditional)  # the draft model now drafts from the target
+    rebound = certified(p, q)
+    assert len(built) == 27 and rebound != drafted
+    target = pair_for(5, vocab=3, depth=4, eps=0.8)[0]
+    assert rebound == certified(target, target) and len(built) == 27
+    monkeypatch.delattr(q, "conditional")  # the draft model's own again
+    assert certified(p, q) == drafted and len(built) == 27
+
+    assert certified(p, q, 2) and len(built) == 9  # another gamma, another table
+    held, failing[0] = oracle._draft_table[0], True
+    with pytest.raises(RuntimeError, match="draft 20"):
+        certified(p, q)
+    assert len(built) == 20 and oracle._draft_table[0] is held  # no part of a table is stored
+    failing[0] = False
+    assert certified(p, q) == drafted and len(built) == 27  # the next one rebuilds
+    monkeypatch.setattr(oracle, "trace_for", lambda *args: assembled(*args))
+    assert certified(p, q) == drafted and len(built) == 27  # another trace_for, another table
+
+    other = pair_for(6, vocab=3, depth=4, eps=0.8)
+    certified(*other)
+    assert len(built) == 27 and oracle._draft_table[0][0][:2] == (other[0].conditional, other[1].conditional)
+    assert certified(p, q) == drafted and len(built) == 27  # the second pair's table replaced the first's
 
 
 @pytest.mark.parametrize("verifier, mutate", ENUMERATED_RUNS)
